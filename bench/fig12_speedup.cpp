@@ -6,8 +6,7 @@
 // reports (2-core avg 1.32, range 1.03-1.76; 4-core avg 2.05, range
 // 0.90-2.98).
 //
-// The (kernel x cores) grid — kernels::MakeFig12Grid, shared with
-// fgpar-coord — runs under the resilient sweep supervisor
+// The (kernel x cores) grid runs under the resilient sweep supervisor
 // (harness/supervisor.hpp): points are fanned across host threads
 // (FGPAR_SWEEP_THREADS overrides the worker count), and the table plus the
 // deterministic portion of BENCH_fig12.json are byte-identical for any
@@ -45,65 +44,72 @@
 //                        table and BENCH_fig12.json are byte-identical
 //                        with or without this flag; wall-clock numbers
 //                        live only in the new artifact's host fields.
-//
-// Distributed mode (the fault-tolerant sweep coordinator, src/dist/):
-//   --workers <n>        become the coordinator: shard the grid under
-//                        time-bounded leases across n local worker
-//                        processes (re-spawned if they die), merge their
-//                        results first-committed-wins, and render the
-//                        byte-identical table/artifact.  Combine with
-//                        --resume to continue after a coordinator kill -9
-//                        (journals in --work-dir are merged tolerantly).
-//   --work-dir <dir>     socket + journals for distributed mode
-//                        (default fig12_dist)
-//   --address <addr>     coordinator listen address override
-//                        (default <work-dir>/coord.sock; "tcp:host:port"
-//                        accepts workers from other hosts)
-//   --lease-ms <ms>      heartbeat deadline per lease (default 10000)
-//   --slice-points <n>   max points per fresh lease grant (default 4)
-//   --target-slice-ms <ms> adaptive lease sizing: size fresh grants so a
-//                        slice costs roughly this much worker wall time
-//                        (per the EWMA of reported point times), capped
-//                        at --slice-points.  0 (default) = fixed slices
-//   --crash-budget <n>   worker crashes on one point before the
-//                        coordinator quarantines it (default 3)
-//   --dist-worker        internal: run as a worker process
-//                        (--dist-address, --worker-id)
-#include <signal.h>
-#include <sys/types.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
-#include <mutex>
-#include <thread>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "compiler/backend.hpp"
-#include "dist/coordinator.hpp"
-#include "dist/journal_merge.hpp"
-#include "dist/server.hpp"
-#include "dist/worker.hpp"
 #include "harness/autotune.hpp"
 #include "harness/repro.hpp"
 #include "harness/supervisor.hpp"
 #include "kernels/experiments.hpp"
-#include "kernels/fig12_grid.hpp"
+#include "kernels/sequoia.hpp"
 #include "support/stats.hpp"
 #include "support/str.hpp"
 #include "support/table.hpp"
 #include "support/telemetry/sinks.hpp"
+
+namespace {
+
+using fgpar::kernels::SequoiaKernel;
+using fgpar::kernels::SequoiaKernels;
+
+// The sweep grid.  Point order is the checkpoint contract — the labels
+// fingerprint the journal, so reordering orphans every checkpoint:
+//
+//   index = cores_slot * kernel_count + kernel_slot
+//
+// i.e. all kernels at 2 cores first, then all kernels at 4 cores, with
+// labels "<kernel-id> cores=<n>".
+struct Grid {
+  std::string name = "fig12";
+  std::vector<int> core_counts = {2, 4};
+  std::size_t kernel_count = 0;     // 3 for --smoke, else all 18
+  std::vector<std::string> labels;  // size() entries, index order
+
+  std::size_t size() const { return labels.size(); }
+  const SequoiaKernel& KernelAt(std::size_t index) const {
+    return SequoiaKernels()[index % kernel_count];
+  }
+  int CoresAt(std::size_t index) const {
+    return core_counts[index / kernel_count];
+  }
+};
+
+Grid MakeGrid(bool smoke) {
+  Grid grid;
+  const std::vector<SequoiaKernel>& all = SequoiaKernels();
+  grid.kernel_count = smoke ? std::min<std::size_t>(3, all.size()) : all.size();
+  for (const int cores : grid.core_counts) {
+    for (std::size_t k = 0; k < grid.kernel_count; ++k) {
+      grid.labels.push_back(all[k].id + " cores=" + std::to_string(cores));
+    }
+  }
+  return grid;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace fgpar;
 
   const bool smoke = benchutil::HasFlag(argc, argv, "--smoke");
   const auto start = std::chrono::steady_clock::now();
-  const kernels::Fig12Grid grid = kernels::MakeFig12Grid(smoke);
+  const Grid grid = MakeGrid(smoke);
   const std::size_t grid_size = grid.size();
   const int threads = harness::ResolveSweepThreads(0);
 
@@ -204,240 +210,21 @@ int main(int argc, char** argv) {
     return name;
   };
 
-  const std::string work_dir =
-      benchutil::FlagValue(argc, argv, "--work-dir", "fig12_dist");
-
-  // ------------------------------------------------------------------
-  // Worker process mode (spawned by the coordinator, or started by hand
-  // against a remote coordinator): pull leases, run them, stream back.
-  // ------------------------------------------------------------------
-  if (benchutil::HasFlag(argc, argv, "--dist-worker")) {
-    dist::WorkerOptions options;
-    options.address = benchutil::FlagValue(argc, argv, "--dist-address");
-    if (options.address.empty()) {
-      std::fprintf(stderr, "--dist-worker needs --dist-address\n");
-      return 2;
-    }
-    const std::string worker_id =
-        benchutil::FlagValue(argc, argv, "--worker-id", "w0");
-    options.worker = worker_id + ".p" + std::to_string(::getpid());
-    options.journal_dir = work_dir;
-    options.connect_budget_seconds =
-        benchutil::FlagDouble(argc, argv, "--connect-budget", 20.0);
-    options.sweep_name = grid.name;
-    options.labels = grid.labels;
-    options.supervisor = supervision;
-    options.supervisor.checkpoint_path.clear();  // per-lease, set by RunWorker
-    options.supervisor.resume = false;
-    options.supervisor.drain_on_sigterm = false;  // SIGTERM = die, lease expires
-    options.supervisor.telemetry = nullptr;
-    try {
-      const dist::WorkerStats stats = dist::RunWorker(options, body, repro);
-      std::fprintf(stderr,
-                   "worker %s: %zu leases, %zu points, %zu failed, "
-                   "%zu stolen-skips, %zu revoked leases\n",
-                   options.worker.c_str(), stats.leases, stats.completed,
-                   stats.failed, stats.stolen_skips, stats.revoked_leases);
-      return 0;
-    } catch (const Error& e) {
-      std::fprintf(stderr, "worker %s: %s\n", options.worker.c_str(),
-                   e.what());
-      return 1;
-    }
+  harness::SweepSupervisor supervisor(supervision);
+  const harness::SweepOutcome outcome = supervisor.Run(body, repro);
+  if (outcome.resumed_points > 0) {
+    std::fprintf(stderr, "resumed %zu completed points from %s\n",
+                 outcome.resumed_points, supervision.checkpoint_path.c_str());
   }
-
-  // The sweep outcome, produced by exactly one of the three modes below
-  // (distributed coordinator, or the classic in-process supervisor) and
-  // rendered identically afterwards.
-  harness::SweepOutcome outcome;
-  outcome.payloads.resize(grid_size);
-  outcome.completed.assign(grid_size, 0);
-
-  const long long workers = benchutil::FlagInt(argc, argv, "--workers", 0);
-  if (workers > 0) {
-    // ----------------------------------------------------------------
-    // Coordinator mode: serve leases, keep n workers alive, merge.
-    // ----------------------------------------------------------------
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    fs::create_directories(work_dir, ec);
-    if (!supervision.resume) {
-      // A fresh sweep must not adopt journals from an older one.
-      for (const std::string& stale : dist::ListJournalFiles(work_dir)) {
-        fs::remove(stale, ec);
-      }
-    }
-
-    dist::Coordinator::Config config;
-    config.name = grid.name;
-    config.labels = grid.labels;
-    config.checkpoint_path = work_dir + "/coordinator.ckpt";
-    config.slice_points = static_cast<std::size_t>(
-        benchutil::FlagInt(argc, argv, "--slice-points", 4));
-    config.lease_ms = static_cast<std::uint64_t>(
-        benchutil::FlagInt(argc, argv, "--lease-ms", 10'000));
-    config.heartbeat_ms = std::max<std::uint64_t>(config.lease_ms / 10, 50);
-    config.crash_budget = static_cast<std::size_t>(
-        benchutil::FlagInt(argc, argv, "--crash-budget", 3));
-    config.target_slice_ms = static_cast<std::uint64_t>(
-        benchutil::FlagInt(argc, argv, "--target-slice-ms", 0));
-    dist::Coordinator coordinator(config);
-
-    // Tolerantly merge whatever journals the work dir holds (the
-    // coordinator's own plus any dead worker's) — the resume-after-
-    // kill-9 path.  Corrupt records are quarantined loudly, never fatal.
-    const auto validate = [](std::size_t, const std::string& payload) {
-      try {
-        harness::DecodeKernelRun(payload);
-        return std::string();
-      } catch (const Error& e) {
-        return std::string(e.what());
-      }
-    };
-    const dist::MergeResult merged = dist::MergeJournalFiles(
-        dist::ListJournalFiles(work_dir), grid.name, coordinator.fingerprint(),
-        grid_size, validate);
-    for (const dist::QuarantinedRecord& record : merged.quarantined) {
-      std::fprintf(stderr, "journal merge: quarantined %s:%zu: %s\n",
-                   record.file.c_str(), record.line, record.reason.c_str());
-    }
-    coordinator.AdoptPoints(merged.points);
-    if (!coordinator.points().empty()) {
-      std::fprintf(stderr, "resumed %zu completed points from %s\n",
-                   coordinator.points().size(), work_dir.c_str());
-    }
-
-    std::string address = benchutil::FlagValue(argc, argv, "--address");
-    if (address.empty()) {
-      address = work_dir + "/coord.sock";
-    }
-    dist::CoordinatorServer server(coordinator, address);
-    server.Start();
-
-    // Keep `workers` worker processes alive until the grid is done; a
-    // worker that dies (crash drill, OOM, kill -9) is reaped and
-    // re-spawned, its lease re-queued by the server.
-    const std::string self = argv[0];
-    std::vector<std::string> worker_args = {
-        self,        "--dist-worker", "--dist-address", address,
-        "--work-dir", work_dir,       "--worker-id",    "w?"};
-    for (const char* pass :
-         {"--smoke", "--max-retries", "--deadline", "--cycle-budget",
-          "--fault-point", "--repro-dir", "--connect-budget"}) {
-      if (std::string(pass) == "--smoke") {
-        if (smoke) {
-          worker_args.push_back("--smoke");
-        }
-        continue;
-      }
-      const std::string value = benchutil::FlagValue(argc, argv, pass);
-      if (!value.empty()) {
-        worker_args.push_back(pass);
-        worker_args.push_back(value);
-      }
-    }
-    const auto spawn = [&](int slot) -> pid_t {
-      std::vector<std::string> args = worker_args;
-      for (std::string& arg : args) {
-        if (arg == "w?") {
-          arg = "w" + std::to_string(slot);
-        }
-      }
-      std::vector<char*> cargs;
-      cargs.reserve(args.size() + 1);
-      for (std::string& arg : args) {
-        cargs.push_back(arg.data());
-      }
-      cargs.push_back(nullptr);
-      const pid_t pid = ::fork();
-      if (pid == 0) {
-        ::execv(self.c_str(), cargs.data());
-        _exit(127);
-      }
-      return pid;
-    };
-
-    std::vector<pid_t> children;
-    std::vector<int> slots;
-    for (int i = 0; i < static_cast<int>(workers); ++i) {
-      children.push_back(spawn(i));
-      slots.push_back(i);
-    }
-    std::size_t respawns = 0;
-    constexpr std::size_t kRespawnCap = 500;  // runaway-crash-loop backstop
-    while (!server.DoneNow()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      int status = 0;
-      pid_t dead;
-      while ((dead = ::waitpid(-1, &status, WNOHANG)) > 0) {
-        for (std::size_t k = 0; k < children.size(); ++k) {
-          if (children[k] != dead) {
-            continue;
-          }
-          if (!server.DoneNow()) {
-            if (++respawns > kRespawnCap) {
-              std::fprintf(stderr,
-                           "worker respawn cap (%zu) exhausted; the sweep "
-                           "cannot make progress\n",
-                           kRespawnCap);
-              server.Stop();
-              return 1;
-            }
-            std::fprintf(stderr, "worker w%d died; re-spawning\n", slots[k]);
-            children[k] = spawn(slots[k]);
-          }
-          break;
-        }
-      }
-    }
-    server.Stop();
-    // Workers still alive will see Grant::kDone on their next poll, but a
-    // SIGTERM makes the exit prompt; reap everything we spawned.
-    for (const pid_t child : children) {
-      ::kill(child, SIGTERM);
-    }
-    for (const pid_t child : children) {
-      int status = 0;
-      ::waitpid(child, &status, 0);
-    }
-
-    for (const auto& [index, payload] : coordinator.points()) {
-      outcome.payloads[index] = payload;
-      outcome.completed[index] = 1;
-    }
-    for (const dist::Coordinator::FailureInfo& info : coordinator.failures()) {
-      harness::PointFailure failure;
-      failure.index = info.index;
-      failure.label = grid.labels[info.index];
-      failure.message = info.message;
-      failure.repro_bundle = info.repro_bundle;
-      failure.attempts = 1 + std::max(0, supervision.max_retries);
-      outcome.failures.push_back(std::move(failure));
-    }
-    outcome.resumed_points = merged.points.size();
-    if (coordinator.duplicate_commits() > 0) {
-      std::fprintf(stderr,
-                   "%zu duplicate completions discarded "
-                   "(first-committed-wins)\n",
-                   coordinator.duplicate_commits());
-    }
-  } else {
-    harness::SweepSupervisor supervisor(supervision);
-    outcome = supervisor.Run(body, repro);
-    if (outcome.resumed_points > 0) {
-      std::fprintf(stderr, "resumed %zu completed points from %s\n",
-                   outcome.resumed_points, supervision.checkpoint_path.c_str());
-    }
-    if (outcome.stopped) {
-      // Graceful SIGTERM drain: the partial grid would render a misleading
-      // table/artifact, so report the drain and exit cleanly instead; a
-      // --resume run recomputes exactly the skipped points.
-      std::fprintf(stderr,
-                   "SIGTERM: drained cleanly, %zu points skipped; rerun with "
-                   "--resume to complete the sweep\n",
-                   outcome.skipped_points);
-      return 0;
-    }
+  if (outcome.stopped) {
+    // Graceful SIGTERM drain: the partial grid would render a misleading
+    // table/artifact, so report the drain and exit cleanly instead; a
+    // --resume run recomputes exactly the skipped points.
+    std::fprintf(stderr,
+                 "SIGTERM: drained cleanly, %zu points skipped; rerun with "
+                 "--resume to complete the sweep\n",
+                 outcome.skipped_points);
+    return 0;
   }
 
   for (const harness::PointFailure& failure : outcome.failures) {

@@ -24,10 +24,7 @@
 namespace fgpar::compiler {
 
 /// Which execution backend a run targets.  Plumbed through RunConfig,
-/// experiments, fgparc --backend, fig12 --backend, and service
-/// config.backend (where, unlike the run tier, it IS part of the cache key:
-/// native results are host measurements and must never be served for a sim
-/// request or vice versa).
+/// experiments, fgparc --backend, and fig12 --backend.
 enum class BackendKind : std::uint8_t { kSim = 0, kNative };
 
 /// Stable lowercase name ("sim", "native").

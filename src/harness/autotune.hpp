@@ -16,7 +16,7 @@
 // toward the lower enumeration index, and the frontier simulations run
 // under the supervisor with the standard deterministic seeding.  Results
 // are serialized as `fgpar-tune-v1` artifacts so tuned configs are
-// addressable by tools, the daemon, and distributed sweeps.
+// addressable by tools (fgparc --autotune / --apply-tune).
 #pragma once
 
 #include <cstdint>

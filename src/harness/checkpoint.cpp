@@ -45,34 +45,16 @@ std::uint64_t GridFingerprint(std::string_view name,
   return hash;
 }
 
-std::uint64_t SliceFingerprint(std::uint64_t grid_fingerprint,
-                               const std::vector<std::size_t>& indices) {
-  std::uint64_t hash =
-      Fnv1a64(std::string_view("slice"), grid_fingerprint);
-  hash = Fnv1a64(std::to_string(indices.size()), hash);
-  for (const std::size_t index : indices) {
-    hash = Fnv1a64(std::to_string(index), hash);
-    hash = Fnv1a64(std::string_view("\x1f", 1), hash);
-  }
-  // 0 means "whole grid" everywhere a slice fingerprint travels; dodge
-  // the astronomically unlikely collision deterministically.
-  return hash == 0 ? 1 : hash;
-}
-
 SweepCheckpoint::SweepCheckpoint(std::string path, std::string name,
-                                 std::uint64_t fingerprint,
-                                 std::uint64_t slice_fingerprint)
+                                 std::uint64_t fingerprint)
     : path_(std::move(path)),
       name_(std::move(name)),
-      fingerprint_(fingerprint),
-      slice_fingerprint_(slice_fingerprint) {}
+      fingerprint_(fingerprint) {}
 
 SweepCheckpoint SweepCheckpoint::LoadOrCreate(std::string path,
                                               std::string name,
-                                              std::uint64_t fingerprint,
-                                              std::uint64_t slice_fingerprint) {
-  SweepCheckpoint checkpoint(std::move(path), std::move(name), fingerprint,
-                             slice_fingerprint);
+                                              std::uint64_t fingerprint) {
+  SweepCheckpoint checkpoint(std::move(path), std::move(name), fingerprint);
   std::ifstream in(checkpoint.path_, std::ios::binary);
   if (!in.good()) {
     return checkpoint;  // no journal yet: fresh sweep
@@ -82,8 +64,8 @@ SweepCheckpoint SweepCheckpoint::LoadOrCreate(std::string path,
   FGPAR_CHECK_MSG(static_cast<bool>(std::getline(in, header)),
                   "corrupt checkpoint " + checkpoint.path_ + ": empty file");
   std::istringstream header_stream(header);
-  std::string version, file_name, file_fingerprint, file_slice;
-  header_stream >> version >> file_name >> file_fingerprint >> file_slice;
+  std::string version, file_name, file_fingerprint, trailing;
+  header_stream >> version >> file_name >> file_fingerprint >> trailing;
   FGPAR_CHECK_MSG(
       version == kCheckpointVersion,
       "unsupported checkpoint version '" + version + "' in " +
@@ -97,26 +79,11 @@ SweepCheckpoint SweepCheckpoint::LoadOrCreate(std::string path,
           " was written for a different grid (fingerprint " + file_fingerprint +
           ", expected " + FingerprintHex(fingerprint) +
           "); the sweep's points changed — delete the checkpoint to start over");
-  if (slice_fingerprint == 0) {
-    FGPAR_CHECK_MSG(
-        file_slice.empty(),
-        "checkpoint " + checkpoint.path_ + " belongs to a grid slice (" +
-            file_slice +
-            "), not the whole grid; a worker journal cannot seed a "
-            "whole-grid resume — merge it instead (fgpar-coord --merge-dir)");
-  } else {
-    const std::string expected = "slice=" + FingerprintHex(slice_fingerprint);
-    FGPAR_CHECK_MSG(
-        !file_slice.empty(),
-        "checkpoint " + checkpoint.path_ +
-            " is a whole-grid journal but this run expects slice " + expected);
-    FGPAR_CHECK_MSG(
-        file_slice == expected,
-        "checkpoint " + checkpoint.path_ +
-            " was written for a different slice of this grid (" + file_slice +
-            ", expected " + expected +
-            "); a worker must never resume against the wrong slice");
-  }
+  FGPAR_CHECK_MSG(trailing.empty(),
+                  "corrupt checkpoint " + checkpoint.path_ +
+                      ": unexpected header token '" + trailing +
+                      "' after the fingerprint (a journal of part of a grid "
+                      "cannot resume the whole grid)");
 
   std::string line;
   while (std::getline(in, line)) {
@@ -136,10 +103,6 @@ SweepCheckpoint SweepCheckpoint::LoadOrCreate(std::string path,
     checkpoint.points_[index] = HexDecodeToString(hex);
   }
   return checkpoint;
-}
-
-void SweepCheckpoint::RestorePoints(std::map<std::size_t, std::string> points) {
-  points_ = std::move(points);
 }
 
 bool SweepCheckpoint::HasPoint(std::size_t index) const {
@@ -171,11 +134,7 @@ void SweepCheckpoint::WriteFileAtomic() const {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
     FGPAR_CHECK_MSG(out.good(), "cannot open " + tmp + " for writing");
     out << kCheckpointVersion << ' ' << name_ << ' '
-        << FingerprintHex(fingerprint_);
-    if (slice_fingerprint_ != 0) {
-      out << " slice=" << FingerprintHex(slice_fingerprint_);
-    }
-    out << '\n';
+        << FingerprintHex(fingerprint_) << '\n';
     for (const auto& [index, payload] : points_) {
       out << "point " << index << ' ' << HexEncode(payload) << '\n';
     }

@@ -9,7 +9,7 @@
 //
 // Format, line-oriented text so a human can inspect progress mid-sweep:
 //
-//   fgpar-ckpt-v1 <name> <fingerprint-hex16> [slice=<hex16>]
+//   fgpar-ckpt-v1 <name> <fingerprint-hex16>
 //   point <index> <hex payload>
 //   ...
 //
@@ -19,13 +19,9 @@
 // the point order all change the fingerprint and are rejected with a
 // clear error instead of silently mixing results.
 //
-// Distributed sweeps add the optional `slice=` header token: a worker
-// journaling one slice of a larger grid stamps SliceFingerprint(grid
-// fingerprint, its global point indices) next to the grid fingerprint, so
-// a worker can never resume against the wrong slice — and a whole-grid
-// load can never accidentally adopt a slice journal (or vice versa).
-// Journals written before the token existed parse exactly as before: a
-// header with no `slice=` token is a whole-grid journal.
+// The header ends at the fingerprint.  A trailing token (such as the
+// `slice=<hex16>` that older builds stamped on per-worker journals) is
+// rejected, so a journal of part of a grid can never resume as the whole.
 //
 // Durability: the journal is rewritten whole through a temp file and an
 // atomic rename on every recorded point.  A crash at any instant leaves
@@ -46,32 +42,21 @@ namespace fgpar::harness {
 std::uint64_t GridFingerprint(std::string_view name,
                               const std::vector<std::string>& labels);
 
-/// Fingerprint of a slice of a grid: the whole-grid fingerprint mixed
-/// with the slice's size and global point indices in lease order.  Two
-/// leases over the same grid with different point sets — or the same
-/// points in a different order — have different slice fingerprints.
-/// Never zero (zero is the "whole grid, no slice" sentinel).
-std::uint64_t SliceFingerprint(std::uint64_t grid_fingerprint,
-                               const std::vector<std::size_t>& indices);
-
 class SweepCheckpoint {
  public:
   /// A fresh, empty journal bound to (path, name, fingerprint).  Nothing
-  /// is written until the first RecordPoint.  `slice_fingerprint` != 0
-  /// binds the journal to one slice of the grid (see SliceFingerprint).
+  /// is written until the first RecordPoint.
   SweepCheckpoint(std::string path, std::string name,
-                  std::uint64_t fingerprint,
-                  std::uint64_t slice_fingerprint = 0);
+                  std::uint64_t fingerprint);
 
   /// Loads the journal at `path` if it exists (for --resume); a missing
   /// file yields an empty journal.  Throws fgpar::Error when the file
-  /// exists but has the wrong version, belongs to a different sweep name,
-  /// grid fingerprint, or slice (a slice journal under a whole-grid
-  /// expectation and vice versa both reject), or is corrupt (bad header,
-  /// malformed point line, bad hex, duplicate or out-of-order garbage).
+  /// exists but has the wrong version, belongs to a different sweep name
+  /// or grid fingerprint, or is corrupt (bad header — including any token
+  /// after the fingerprint — malformed point line, bad hex, duplicate or
+  /// out-of-order garbage).
   static SweepCheckpoint LoadOrCreate(std::string path, std::string name,
-                                      std::uint64_t fingerprint,
-                                      std::uint64_t slice_fingerprint = 0);
+                                      std::uint64_t fingerprint);
 
   bool HasPoint(std::size_t index) const;
   /// The journaled payload for `index`, or nullptr if not completed.
@@ -84,15 +69,9 @@ class SweepCheckpoint {
   /// legitimately produce two results for one point.
   void RecordPoint(std::size_t index, const std::string& payload);
 
-  /// Replaces the in-memory point set without touching the file (used by
-  /// the distributed coordinator to adopt a tolerantly-merged load; see
-  /// dist/journal_merge.hpp).  The next RecordPoint persists everything.
-  void RestorePoints(std::map<std::size_t, std::string> points);
-
   const std::string& path() const { return path_; }
   const std::string& name() const { return name_; }
   std::uint64_t fingerprint() const { return fingerprint_; }
-  std::uint64_t slice_fingerprint() const { return slice_fingerprint_; }
 
  private:
   void WriteFileAtomic() const;
@@ -100,7 +79,6 @@ class SweepCheckpoint {
   std::string path_;
   std::string name_;
   std::uint64_t fingerprint_ = 0;
-  std::uint64_t slice_fingerprint_ = 0;  // 0 = whole grid
   std::map<std::size_t, std::string> points_;  // index -> opaque payload
 };
 

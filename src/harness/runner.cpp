@@ -89,7 +89,6 @@ sim::MachineConfig KernelRunner::MachineConfigFor(const RunConfig& config,
   machine.cache = config.cache;
   machine.queue = config.queue;
   machine.stall_watchdog_cycles = config.stall_watchdog_cycles;
-  machine.force_slow_path = config.force_slow_path;
   machine.force_tier = config.force_tier;
   // Round the data region up to a power-of-two-ish budget with headroom.
   std::uint64_t words = 1024;
@@ -431,8 +430,8 @@ telemetry::CounterRegistry KernelRunTelemetry(const KernelRun& run) {
                  /*artifact=*/false);
   // Threaded-tier translation observability.  Deliberately artifact=false:
   // these vary with the resolved run tier while every artifact-visible
-  // number above is tier-invariant, so bench artifacts (and the service
-  // responses derived from them) stay byte-identical across tiers.
+  // number above is tier-invariant, so bench artifacts stay byte-identical
+  // across tiers.
   const sim::ThreadedStats& ts = run.threaded_stats;
   registry.Count("sim.threaded.blocks_translated", ts.blocks_translated,
                  /*artifact=*/false);
@@ -460,7 +459,7 @@ telemetry::CounterRegistry KernelRunTelemetry(const KernelRun& run) {
   // (verification, ring traffic, thread count) are artifact-visible — they
   // define the BENCH_native.json point schema — while wall-clock numbers
   // are host-dependent and stay out of deterministic artifacts by design
-  // (INTERNALS.md §14); benches report them via per-point host fields.
+  // (INTERNALS.md §13); benches report them via per-point host fields.
   if (run.native_run) {
     registry.Count("native.verified", run.native_verified ? 1 : 0);
     registry.Count("native.queue_transfers", run.native_queue_transfers);

@@ -118,15 +118,11 @@ struct RunConfig {
   /// Stall watchdog for simulated machines (0 = disabled; see
   /// MachineConfig::stall_watchdog_cycles).
   std::uint64_t stall_watchdog_cycles = 0;
-  /// Forces every simulated machine onto the instrumented reference run
-  /// loop (see MachineConfig::force_slow_path).  Results are bit-identical
-  /// either way; used by the fast/slow equivalence tests and benchmarks.
-  bool force_slow_path = false;
   /// Pins every simulated machine to one run tier (see
   /// MachineConfig::force_tier; kAuto picks the fastest eligible tier).
   /// Results are bit-identical across tiers — this knob exists so the
-  /// sweep engine, fgpard, and micro_sim can pin or compare tiers, and so
-  /// the tier-equivalence tests can demand a specific loop.
+  /// sweep engine, fgparc --tier, and micro_sim can pin or compare tiers,
+  /// and so the tier-equivalence tests can demand a specific loop.
   sim::RunTier force_tier = sim::RunTier::kAuto;
   /// Execution backend.  kSim (default) runs everything on the simulator.
   /// kNative additionally executes the kernel for real on host threads —

@@ -58,13 +58,6 @@ void SweepSupervisor::ResetDrainForTest() { g_drain_requested = 0; }
 SweepSupervisor::SweepSupervisor(SupervisorConfig config)
     : config_(std::move(config)) {
   FGPAR_CHECK_MSG(!config_.name.empty(), "SweepSupervisor needs a name");
-  FGPAR_CHECK_MSG(config_.global_indices.empty() ||
-                      config_.global_indices.size() == config_.labels.size(),
-                  "SupervisorConfig::global_indices must map every label "
-                  "(got " +
-                      std::to_string(config_.global_indices.size()) +
-                      " indices for " +
-                      std::to_string(config_.labels.size()) + " labels)");
 }
 
 std::uint64_t SweepSupervisor::AttemptSeed(std::uint64_t base_seed,
@@ -84,27 +77,17 @@ SweepOutcome SweepSupervisor::Run(const PointBody& body,
   outcome.payloads.resize(count);
   outcome.completed.assign(count, 0);
 
-  // Distributed slices run under a local index i but present the grid's
-  // global index everywhere a point is identified: seeds, journal keys,
-  // PointContext, and failures.  Single host: identity.
-  const auto global = [this](std::size_t i) {
-    return config_.global_indices.empty() ? i : config_.global_indices[i];
-  };
-
   std::optional<SweepCheckpoint> journal;
   if (!config_.checkpoint_path.empty()) {
     const std::uint64_t fingerprint =
-        config_.grid_fingerprint != 0
-            ? config_.grid_fingerprint
-            : GridFingerprint(config_.name, config_.labels);
+        GridFingerprint(config_.name, config_.labels);
     journal = config_.resume
-                  ? SweepCheckpoint::LoadOrCreate(
-                        config_.checkpoint_path, config_.name, fingerprint,
-                        config_.slice_fingerprint)
+                  ? SweepCheckpoint::LoadOrCreate(config_.checkpoint_path,
+                                                  config_.name, fingerprint)
                   : SweepCheckpoint(config_.checkpoint_path, config_.name,
-                                    fingerprint, config_.slice_fingerprint);
+                                    fingerprint);
     for (std::size_t i = 0; i < count; ++i) {
-      if (const std::string* payload = journal->PointPayload(global(i))) {
+      if (const std::string* payload = journal->PointPayload(i)) {
         outcome.payloads[i] = *payload;
         outcome.completed[i] = 1;
         ++outcome.resumed_points;
@@ -137,15 +120,9 @@ SweepOutcome SweepSupervisor::Run(const PointBody& body,
           skipped.fetch_add(1, std::memory_order_relaxed);
           return;
         }
-        if (config_.skip_point && config_.skip_point(i)) {
-          // The coordinator stole this point from our lease: drop it
-          // without completing or failing it — its new owner computes it.
-          skipped.fetch_add(1, std::memory_order_relaxed);
-          return;
-        }
         const int attempts = 1 + std::max(0, config_.max_retries);
         PointContext context;
-        context.index = global(i);
+        context.index = i;
         context.label = config_.labels[i];
         context.cycle_budget = config_.point_cycle_budget;
         context.deadline_seconds = config_.point_deadline_seconds;
@@ -180,7 +157,7 @@ SweepOutcome SweepSupervisor::Run(const PointBody& body,
             std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
           }
           context.attempt = attempt;
-          context.seed = AttemptSeed(config_.base_seed, global(i), attempt);
+          context.seed = AttemptSeed(config_.base_seed, i, attempt);
           if (ring.has_value()) {
             ring->Clear();  // last_events reflects the final attempt only
           }
@@ -190,7 +167,7 @@ SweepOutcome SweepSupervisor::Run(const PointBody& body,
           telemetry::ScopedSpan span(config_.telemetry,
                                      attempt == 0 ? "point" : "retry",
                                      context.label, static_cast<int>(i));
-          span.Note("index", static_cast<std::int64_t>(global(i)));
+          span.Note("index", static_cast<std::int64_t>(i));
           span.Note("attempt", attempt);
           const auto start = std::chrono::steady_clock::now();
           try {
@@ -202,7 +179,7 @@ SweepOutcome SweepSupervisor::Run(const PointBody& body,
             if (config_.point_deadline_seconds > 0.0 &&
                 elapsed > config_.point_deadline_seconds) {
               throw DeadlineError(
-                  "point " + std::to_string(global(i)) + " (" + context.label +
+                  "point " + std::to_string(i) + " (" + context.label +
                   ") exceeded its wall-clock deadline: " +
                   std::to_string(elapsed) + "s > " +
                   std::to_string(config_.point_deadline_seconds) + "s");
@@ -211,7 +188,7 @@ SweepOutcome SweepSupervisor::Run(const PointBody& body,
             outcome.payloads[i] = std::move(payload);
             outcome.completed[i] = 1;
             if (journal) {
-              journal->RecordPoint(global(i), outcome.payloads[i]);
+              journal->RecordPoint(i, outcome.payloads[i]);
               ++journaled_this_run;
               if (exit_after > 0 && journaled_this_run >= exit_after) {
                 // The resume drill: die exactly like an external kill -9,
@@ -235,7 +212,7 @@ SweepOutcome SweepSupervisor::Run(const PointBody& body,
         }
 
         PointFailure failure;
-        failure.index = global(i);
+        failure.index = i;
         failure.label = context.label;
         failure.message = MessageOf(last_error);
         failure.attempts = attempts;

@@ -92,30 +92,6 @@ struct SupervisorConfig {
   /// Load an existing journal and skip its completed points.  When false
   /// an existing journal is restarted from scratch.
   bool resume = false;
-  /// Distributed slices: maps each local grid index to the enclosing
-  /// grid's global index.  When set (size must equal labels.size()),
-  /// PointContext::index, retry seeding, journal point keys, and
-  /// PointFailure::index all use the global index, so running point g in
-  /// a slice is bit-identical — same attempt seeds, same journal record —
-  /// to running it in the whole grid.  Empty = identity (single host).
-  std::vector<std::size_t> global_indices;
-  /// Overrides the grid fingerprint stamped into the journal header
-  /// (0 = computed from name + labels, the single-host default).  A
-  /// distributed worker sets the WHOLE grid's fingerprint here while
-  /// `labels` holds only its slice, so an orphaned worker journal still
-  /// validates against the full grid when merged offline.
-  std::uint64_t grid_fingerprint = 0;
-  /// Slice fingerprint stamped into the journal header (see
-  /// harness::SliceFingerprint); 0 = whole-grid journal.  Distributed
-  /// workers set this so a journal can never resume against the wrong
-  /// slice.
-  std::uint64_t slice_fingerprint = 0;
-  /// Consulted immediately before starting each not-yet-completed point
-  /// (with its LOCAL index); returning true skips the point — it is
-  /// neither completed nor failed, and counts into
-  /// SweepOutcome::skipped_points.  Distributed workers use this to drop
-  /// points the coordinator has stolen from their lease mid-run.
-  std::function<bool(std::size_t)> skip_point;
   /// Telemetry sink shared by the whole sweep (non-owning; null = off).
   /// Every attempt is bracketed by a host span — category "point" for
   /// attempt 0, "retry" for re-runs — named after the point's label and

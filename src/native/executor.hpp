@@ -17,7 +17,7 @@
 //
 // Timing is wall-clock only — it depends on the host scheduler and memory
 // system and is deliberately excluded from deterministic artifacts
-// (INTERNALS.md §14).
+// (INTERNALS.md §13).
 #pragma once
 
 #include <atomic>

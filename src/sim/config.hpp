@@ -106,17 +106,13 @@ struct MachineConfig {
   std::uint64_t stall_watchdog_cycles = 0;
   /// Deterministic fault injection (disabled by default; see sim/fault.hpp).
   FaultConfig faults;
-  /// Forces the instrumented reference run loop even when the fast path is
-  /// eligible (no faults, no watchdog, no trace).  Cycle counts, final
-  /// memory, and stall statistics are bit-identical either way — this knob
-  /// exists for the fast/slow equivalence tests and the decoded-cache
-  /// on/off microbenchmarks, not for correctness.
-  bool force_slow_path = false;
-  /// Pins the run loop to one tier (see RunTier).  Results are bit-identical
-  /// across tiers, so this knob — like force_slow_path, which it subsumes —
-  /// is excluded from the snapshot identity hash and from service cache
-  /// keys.  Instrumentation hooks (faults, telemetry, watchdog) and
-  /// force_slow_path always override it toward the reference loop.
+  /// Pins the run loop to one tier (see RunTier); kSlow forces the
+  /// instrumented reference loop even when a faster tier is eligible.
+  /// Results are bit-identical across tiers, so this knob exists for the
+  /// tier-equivalence tests and the tier microbenchmarks, not for
+  /// correctness, and is excluded from the snapshot identity hash.
+  /// Instrumentation hooks (faults, telemetry, watchdog) always override it
+  /// toward the reference loop.
   RunTier force_tier = RunTier::kAuto;
 };
 

@@ -143,7 +143,7 @@ RunTier Machine::ResolveTierUncached() const {
   // Instrumentation hooks always win: the reference loop is the only one
   // that carries fault injection, the watchdog, and the sim-event sink.
   if (injector_.enabled() || telemetry_ != nullptr ||
-      config_.stall_watchdog_cycles > 0 || config_.force_slow_path ||
+      config_.stall_watchdog_cycles > 0 ||
       config_.force_tier == RunTier::kSlow) {
     return RunTier::kSlow;
   }

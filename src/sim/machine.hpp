@@ -125,7 +125,7 @@ class Machine {
   /// deadlock, StallError on a watchdog trip, and Error if config limits
   /// are exceeded.
   ///
-  /// Three run tiers exist behind this call (docs/INTERNALS.md §13).  The
+  /// Three run tiers exist behind this call (docs/INTERNALS.md §12).  The
   /// *threaded tier* (the default when no instrumentation is attached)
   /// runs the fast loop plus the direct-threaded block translator
   /// (sim/threaded.hpp), which compiles hot basic blocks into computed-
@@ -135,8 +135,7 @@ class Machine {
   /// reference implementation: it polls every core every cycle and
   /// carries the fault injector, the stall watchdog, and the telemetry
   /// sink; it is used iff fault injection is enabled,
-  /// stall_watchdog_cycles > 0, a telemetry sink is installed, or
-  /// MachineConfig::force_slow_path requests it.
+  /// stall_watchdog_cycles > 0, or a telemetry sink is installed.
   /// MachineConfig::force_tier pins the choice for equivalence tests and
   /// benchmarks (instrumentation still wins).  Simulated cycle counts,
   /// final memory, and per-core statistics are bit-identical across all

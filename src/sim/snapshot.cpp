@@ -84,7 +84,6 @@ void HashConfig(ByteWriter& w, const MachineConfig& c) {
   w.U32(static_cast<std::uint32_t>(c.faults.mem_fault_extra_cycles));
   w.F64(c.faults.core_freeze_prob);
   w.U32(static_cast<std::uint32_t>(c.faults.core_freeze_cycles));
-  w.Bool(c.force_slow_path);
   // force_tier is deliberately NOT hashed: results are bit-identical
   // across run tiers, so a snapshot taken under one tier must restore
   // into a machine pinned to another (tests/sim_threaded_test.cpp).

@@ -93,8 +93,8 @@ struct ThreadedTrace {
 };
 
 /// Translator + executor observability (sim.threaded.* counters; all
-/// tier-dependent, so registered artifact=false — bench artifacts and
-/// service response bytes stay identical across tiers).
+/// tier-dependent, so registered artifact=false — bench artifacts stay
+/// byte-identical across tiers).
 struct ThreadedStats {
   std::uint64_t blocks_translated = 0;  // hot heads walked by the translator
   std::uint64_t traces = 0;             // compiled segments (>= blocks)

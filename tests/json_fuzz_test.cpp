@@ -5,9 +5,10 @@
 // deterministically from valid documents — truncated prefixes plus
 // single-byte mutations — and from handwritten pathological cases.
 //
-// The parser is the trust boundary of the fgpard service (every request
-// payload goes through it), so "malformed input cannot take the process
-// down" is a load-bearing property, not a nicety.
+// The parser reads files other processes wrote — repro-bundle manifests
+// (fgpar-repro) and tune artifacts (fgparc --apply-tune) — so "malformed
+// input cannot take the process down" is a load-bearing property, not a
+// nicety.
 #include <cstdint>
 #include <string>
 #include <vector>

@@ -12,15 +12,16 @@
 // change, run with FGPAR_GOLDEN_PRINT=1 and paste the emitted table.
 //
 // The FastSlowEquivalence tests go further than the golden table: they run
-// the same workload through both run loops (MachineConfig::force_slow_path)
-// and require every observable — cycles, instruction counts, queue
-// traffic, and each core's stall statistics — to match exactly, for all 18
-// kernels and for hand-built queue-heavy machines where the fast path's
-// issue-skip and multi-cycle fast-forward accounting actually engage.
+// hand-built queue-heavy machines, where the fast path's issue-skip and
+// multi-cycle fast-forward accounting actually engage, through both run
+// loops (MachineConfig::force_tier = kSlow on the reference side) and
+// require every observable — cycles, instruction counts, queue traffic,
+// and each core's stall statistics — to match exactly.
 //
-// The TierEquivalence tests extend the same contract to the third run
-// tier: every kernel is swept through slow, fast, and direct-threaded
-// (RunConfig::force_tier) and all three must agree on every observable.
+// The TierEquivalence tests extend the same contract to all 18 kernels and
+// all three run tiers: every kernel is swept through slow, fast, and
+// direct-threaded (RunConfig::force_tier) and all three must agree on
+// every observable.
 // They are also registered as a standalone ctest label
 // (`ctest -L tier_equivalence`) so CI can gate on the sweep by name.
 #include <cstdio>
@@ -108,17 +109,6 @@ void ExpectRunsEqual(const harness::KernelRun& fast,
   EXPECT_EQ(fast.max_queue_occupancy, slow.max_queue_occupancy) << id;
   EXPECT_EQ(fast.cores_used, slow.cores_used) << id;
   EXPECT_DOUBLE_EQ(fast.speedup, slow.speedup) << id;
-}
-
-TEST(FastSlowEquivalence, AllKernelsFourCores) {
-  for (const kernels::SequoiaKernel& spec : kernels::SequoiaKernels()) {
-    kernels::ExperimentConfig config;
-    config.cores = 4;
-    const harness::KernelRun fast = kernels::RunKernel(spec, config);
-    config.force_slow_path = true;
-    const harness::KernelRun slow = kernels::RunKernel(spec, config);
-    ExpectRunsEqual(fast, slow, spec.id);
-  }
 }
 
 /// Runs `spec` under all three run tiers with otherwise-identical config
@@ -228,7 +218,7 @@ TEST(FastSlowEquivalence, PingPongStallStatsIdentical) {
   fast.StartCoreAt(1, "core1");
   const sim::RunResult fast_result = fast.Run();
 
-  config.force_slow_path = true;
+  config.force_tier = sim::RunTier::kSlow;
   sim::Machine slow(config, program);
   slow.StartCoreAt(0, "core0");
   slow.StartCoreAt(1, "core1");
@@ -256,7 +246,7 @@ TEST(FastSlowEquivalence, PingPongUnderSmtIdentical) {
   fast.StartCoreAt(1, "core1");
   const sim::RunResult fast_result = fast.Run();
 
-  config.force_slow_path = true;
+  config.force_tier = sim::RunTier::kSlow;
   sim::Machine slow(config, program);
   slow.StartCoreAt(0, "core0");
   slow.StartCoreAt(1, "core1");
@@ -293,7 +283,7 @@ TEST(FastSlowEquivalence, SingleCoreLoopIdentical) {
   fast.StartCoreAt(0, "main");
   const sim::RunResult fast_result = fast.Run();
 
-  config.force_slow_path = true;
+  config.force_tier = sim::RunTier::kSlow;
   sim::Machine slow(config, program);
   slow.StartCoreAt(0, "main");
   const sim::RunResult slow_result = slow.Run();

@@ -1,13 +1,11 @@
 // Tests for the resilient sweep supervisor stack: the checkpoint journal
 // ("fgpar-ckpt-v1"), retry/deadline/quarantine policies, checkpoint/resume
 // byte-identity, repro bundles, and the runner's cycle budget.
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -144,6 +142,11 @@ TEST(Checkpoint, RejectsVersionNameFingerprintAndCorruption) {
   const std::size_t fp_pos = wrong_fp.find(' ', wrong_fp.find("golden")) + 1;
   wrong_fp[fp_pos] = wrong_fp[fp_pos] == '0' ? '1' : '0';
   expect_rejected(wrong_fp, "different grid");
+  // Any token after the fingerprint — e.g. the slice token older builds
+  // stamped on per-worker journals — must never resume as a whole grid.
+  std::string trailing_token = golden;
+  trailing_token.insert(trailing_token.find('\n'), " slice=00000000deadbeef");
+  expect_rejected(trailing_token, "unexpected header token");
   // Structural corruption.
   expect_rejected("", "empty file");
   expect_rejected(golden + "garbage line here\n", "unexpected line");
@@ -163,61 +166,6 @@ TEST(Checkpoint, GridFingerprintDiscriminates) {
   // Labels cannot be reassociated across the separator.
   EXPECT_NE(harness::GridFingerprint("x", {"ab", "c"}),
             harness::GridFingerprint("x", {"a", "bc"}));
-}
-
-TEST(Checkpoint, SliceFingerprintDiscriminatesAndIsNeverZero) {
-  const std::uint64_t grid =
-      harness::GridFingerprint("fig12", {"a", "b", "c", "d"});
-  const std::uint64_t slice01 = harness::SliceFingerprint(grid, {0, 1});
-  EXPECT_NE(slice01, 0u);
-  EXPECT_EQ(slice01, harness::SliceFingerprint(grid, {0, 1}));
-  // Different point sets, different order, different grid: all distinct.
-  EXPECT_NE(slice01, harness::SliceFingerprint(grid, {0, 2}));
-  EXPECT_NE(slice01, harness::SliceFingerprint(grid, {1, 0}));
-  EXPECT_NE(slice01, harness::SliceFingerprint(grid, {0, 1, 2}));
-  EXPECT_NE(slice01, harness::SliceFingerprint(grid + 1, {0, 1}));
-}
-
-TEST(Checkpoint, SliceJournalRejectionMatrix) {
-  // The four-way matrix of (journal slice) x (loader expectation): only
-  // the matching pair loads; every mismatch is a structured rejection.
-  const std::string path = TempPath("ckpt_slice_matrix");
-  std::remove(path.c_str());
-  const std::vector<std::string> labels = {"p0", "p1", "p2", "p3"};
-  const std::uint64_t fp = harness::GridFingerprint("slicem", labels);
-  const std::uint64_t slice = harness::SliceFingerprint(fp, {1, 3});
-  const std::uint64_t other_slice = harness::SliceFingerprint(fp, {0, 2});
-  {
-    SweepCheckpoint journal(path, "slicem", fp, slice);
-    journal.RecordPoint(1, "one");
-    journal.RecordPoint(3, "three");
-  }
-  // Header carries both fingerprints.
-  const std::string text = ReadFile(path);
-  EXPECT_NE(text.find("slice="), std::string::npos) << text;
-
-  // Matching slice loads.
-  const SweepCheckpoint loaded =
-      SweepCheckpoint::LoadOrCreate(path, "slicem", fp, slice);
-  EXPECT_EQ(loaded.CompletedCount(), 2u);
-  // Whole-grid load of a slice journal rejects.
-  EXPECT_THROW(SweepCheckpoint::LoadOrCreate(path, "slicem", fp), Error);
-  // A different slice rejects.
-  EXPECT_THROW(SweepCheckpoint::LoadOrCreate(path, "slicem", fp, other_slice),
-               Error);
-
-  // Slice load of a whole-grid journal rejects; whole-grid load still
-  // works (single-host journals stay accepted, no format break).
-  std::remove(path.c_str());
-  {
-    SweepCheckpoint journal(path, "slicem", fp);
-    journal.RecordPoint(0, "zero");
-  }
-  EXPECT_EQ(ReadFile(path).find("slice="), std::string::npos);
-  EXPECT_NO_THROW(SweepCheckpoint::LoadOrCreate(path, "slicem", fp));
-  EXPECT_THROW(SweepCheckpoint::LoadOrCreate(path, "slicem", fp, slice),
-               Error);
-  std::remove(path.c_str());
 }
 
 // ---- supervisor policies --------------------------------------------------
@@ -564,105 +512,6 @@ TEST(Supervisor, DrainFlagNeedsOptIn) {
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_TRUE(outcome.completed[i]) << i;
   }
-}
-
-// ---- distributed slices (global_indices / skip_point) ---------------------
-
-TEST(Supervisor, GlobalIndicesMakeSliceRunsBitIdenticalToWholeGrid) {
-  // A distributed worker runs points {1, 3} of a 4-point grid.  Contexts,
-  // attempt seeds, failure records, and journal keys must all use GLOBAL
-  // indices, and the journal header must carry the WHOLE grid fingerprint
-  // plus the slice fingerprint — that is what makes an orphaned worker
-  // journal mergeable offline and a slice run bit-identical to the same
-  // points in a single-host sweep.
-  const std::vector<std::string> grid_labels = {"g0", "g1", "g2", "g3"};
-  const std::uint64_t grid_fp = harness::GridFingerprint("gslice", grid_labels);
-  const std::vector<std::size_t> slice = {1, 3};
-  const std::string path = TempPath("ckpt_global_indices");
-  std::remove(path.c_str());
-
-  SupervisorConfig config;
-  config.name = "gslice";
-  config.labels = {grid_labels[1], grid_labels[3]};
-  config.global_indices = slice;
-  config.grid_fingerprint = grid_fp;
-  config.slice_fingerprint = harness::SliceFingerprint(grid_fp, slice);
-  config.checkpoint_path = path;
-  config.base_seed = 77;
-  config.sweep_threads = 1;
-  config.max_retries = 1;
-
-  std::vector<std::size_t> seen;
-  std::mutex seen_mutex;
-  const SweepOutcome outcome = SweepSupervisor(config).Run(
-      [&](const PointContext& ctx) -> std::string {
-        {
-          std::lock_guard<std::mutex> lock(seen_mutex);
-          seen.push_back(ctx.index);
-        }
-        if (ctx.index == 3 && ctx.attempt == 0) {
-          // The retry seed must derive from the GLOBAL index.
-          throw Error("transient");
-        }
-        if (ctx.index == 3) {
-          EXPECT_EQ(ctx.seed, SweepSupervisor::AttemptSeed(77, 3, 1));
-        }
-        return "r" + std::to_string(ctx.index);
-      });
-  std::sort(seen.begin(), seen.end());
-  seen.erase(std::unique(seen.begin(), seen.end()), seen.end());
-  EXPECT_EQ(seen, slice);  // bodies saw global indices, nothing local
-  EXPECT_TRUE(outcome.failures.empty());
-  // Local outcome slots, global payload content.
-  EXPECT_EQ(outcome.payloads[0], "r1");
-  EXPECT_EQ(outcome.payloads[1], "r3");
-
-  // The journal is keyed by global index under the whole-grid fingerprint.
-  const SweepCheckpoint journal = SweepCheckpoint::LoadOrCreate(
-      path, "gslice", grid_fp, config.slice_fingerprint);
-  EXPECT_TRUE(journal.HasPoint(1) && journal.HasPoint(3));
-  EXPECT_FALSE(journal.HasPoint(0));
-  std::remove(path.c_str());
-}
-
-TEST(Supervisor, GlobalIndicesFailuresCarryGlobalIndex) {
-  SupervisorConfig config;
-  config.name = "gfail";
-  config.labels = {"g2"};
-  config.global_indices = {2};
-  config.failure_budget = 1;
-  config.sweep_threads = 1;
-  const SweepOutcome outcome = SweepSupervisor(config).Run(
-      [&](const PointContext&) -> std::string { throw Error("always"); });
-  ASSERT_EQ(outcome.failures.size(), 1u);
-  EXPECT_EQ(outcome.failures[0].index, 2u);  // global, not local 0
-}
-
-TEST(Supervisor, SkipPointDropsStolenPointsWithoutFailure) {
-  // Mid-lease steal: the coordinator took local point 1 away; the worker
-  // must neither compute nor fail it — it is skipped, and only skipped.
-  SupervisorConfig config = BasicConfig("steal", 4);
-  config.sweep_threads = 1;
-  config.skip_point = [](std::size_t local) { return local == 1; };
-  std::atomic<int> ran{0};
-  const SweepOutcome outcome =
-      SweepSupervisor(config).Run([&](const PointContext& ctx) {
-        ++ran;
-        EXPECT_NE(ctx.index, 1u);
-        return "ok";
-      });
-  EXPECT_EQ(ran.load(), 3);
-  EXPECT_EQ(outcome.skipped_points, 1u);
-  EXPECT_TRUE(outcome.failures.empty());
-  EXPECT_FALSE(outcome.completed[1]);
-  EXPECT_TRUE(outcome.completed[0] && outcome.completed[2] &&
-              outcome.completed[3]);
-}
-
-TEST(Supervisor, GlobalIndicesSizeMismatchThrows) {
-  SupervisorConfig config = BasicConfig("badmap", 3);
-  config.global_indices = {0, 1};  // 2 mappings for 3 labels
-  EXPECT_THROW(SweepSupervisor{config}, Error);
 }
 
 // ---- repro bundles --------------------------------------------------------
