@@ -138,14 +138,12 @@ int main(int argc, char** argv) {
   supervision.drain_on_sigterm = true;
 
   // --trace routes the whole sweep through one shared Chrome-trace sink
-  // (the supervisor re-stamps each point onto its own stream lane) and
-  // keeps a forensic ring of each point's last sim events for quarantine
-  // reports.  Untraced sweeps stay on the simulator fast path.
+  // (the supervisor re-stamps each point onto its own stream lane).
+  // Untraced sweeps stay on the simulator fast path.
   const std::string trace_path = benchutil::FlagValue(argc, argv, "--trace");
   telemetry::ChromeTraceSink trace_sink;
   if (!trace_path.empty()) {
     supervision.telemetry = &trace_sink;
-    supervision.failure_ring_capacity = 256;
   }
 
   // Host-only observations, one slot per point (each slot is written by

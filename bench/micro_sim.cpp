@@ -4,11 +4,10 @@
 // simulated time — useful for sizing experiment sweeps.
 //
 // Coverage of the three run tiers (see docs/INTERNALS.md):
-//  * BM_CoreIssueThroughputThreaded  — direct-threaded trace tier, the
-//    default for hot single-core simulation;
+//  * BM_CoreIssueThroughputThreaded  — the auto tier, whose single-core
+//    loop runs hot blocks as direct-threaded traces;
 //  * BM_CoreIssueThroughput          — fast path, predecoded dispatch
-//    (pinned with force_tier so it keeps measuring the fast loop now
-//    that auto resolves to the threaded tier);
+//    (pinned with force_tier = kFast, which never enters traces);
 //  * BM_CoreIssueThroughputSlowPath  — same program on the instrumented
 //    reference loop, i.e. the decoded-cache off configuration; the
 //    ratios between the three are the per-tier speedups;
@@ -21,11 +20,12 @@
 //    issue event per instruction on top of the slow loop.
 //
 // A custom main additionally writes BENCH_sim_throughput.json with
-// wall-clock simulation rates for the threaded, fast, and slow tiers plus
-// the slow loop under each telemetry sink (aggregating, Chrome trace), so
-// CI archives machine-readable simulator-performance numbers — including
-// the threaded-over-fast ratio its perf-smoke step asserts on — alongside
-// the figures.
+// wall-clock simulation rates for the auto tier (the "threaded" row:
+// traces on), the fast and slow tiers, and the slow loop under each
+// telemetry sink (aggregating, Chrome trace), so CI archives
+// machine-readable simulator-performance numbers — including the
+// threaded-over-fast ratio its perf-smoke step asserts on — alongside the
+// figures.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -72,13 +72,12 @@ sim::RunResult RunIssueLoop(const isa::Program& program, sim::RunTier tier,
 }
 
 void BM_CoreIssueThroughputThreaded(benchmark::State& state) {
-  // The direct-threaded trace tier: the hot loop body runs as one
-  // pre-resolved handler chain per iteration (sim/threaded.hpp).
+  // The auto tier's traces: the hot loop body runs as one pre-resolved
+  // handler chain per iteration (sim/threaded.hpp).
   const isa::Program program = IssueLoopProgram(state.range(0));
   std::uint64_t instructions = 0;
   for (auto _ : state) {
-    instructions +=
-        RunIssueLoop(program, sim::RunTier::kThreaded).instructions;
+    instructions += RunIssueLoop(program, sim::RunTier::kAuto).instructions;
   }
   state.counters["sim_instr/s"] = benchmark::Counter(
       static_cast<double>(instructions), benchmark::Counter::kIsRate);
@@ -286,7 +285,7 @@ void WriteThroughputArtifact() {
   const isa::Program program = IssueLoopProgram(10000);
   constexpr double kMinSeconds = 0.2;
   const ThroughputSample threaded = MeasureIssueLoop(
-      program, sim::RunTier::kThreaded, SinkMode::kNone, kMinSeconds);
+      program, sim::RunTier::kAuto, SinkMode::kNone, kMinSeconds);
   const ThroughputSample fast = MeasureIssueLoop(
       program, sim::RunTier::kFast, SinkMode::kNone, kMinSeconds);
   const ThroughputSample slow = MeasureIssueLoop(

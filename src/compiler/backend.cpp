@@ -1,9 +1,7 @@
 #include "compiler/backend.hpp"
 
 #include <string>
-#include <utility>
 
-#include "compiler/lower.hpp"
 #include "support/error.hpp"
 
 namespace fgpar::compiler {
@@ -21,27 +19,6 @@ BackendKind ParseBackendKind(std::string_view name) {
   if (name == "native") return BackendKind::kNative;
   throw Error("unknown backend '" + std::string(name) +
               "' (expected sim or native)");
-}
-
-std::unique_ptr<BackendProgram> SimBackend::Compile(
-    const LoweredProgram& lowered) const {
-  if (lowered.sequential()) {
-    return std::make_unique<SimProgram>(
-        LowerSequential(*lowered.kernel, *lowered.layout));
-  }
-  return std::make_unique<SimProgram>(
-      LowerParallel(*lowered.kernel, *lowered.layout, *lowered.plan));
-}
-
-const Backend& SimBackendInstance() {
-  static const SimBackend backend;
-  return backend;
-}
-
-isa::Program LowerToSim(const LoweredProgram& lowered) {
-  std::unique_ptr<BackendProgram> program =
-      SimBackendInstance().Compile(lowered);
-  return std::move(static_cast<SimProgram&>(*program)).Take();
 }
 
 }  // namespace fgpar::compiler

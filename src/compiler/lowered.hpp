@@ -1,16 +1,12 @@
-// The target-independent lowered program form (ISSUE: two-backend seam).
+// The target-independent lowered program form: the rewritten kernel, its
+// memory layout, and (for the parallel pipeline) the per-core placement +
+// communication plan.  The native executor (src/native/) runs it as host
+// closures on std::thread workers connected by SPSC rings.
 //
-// The pass pipeline's lower stage no longer commits to sim ISA: it produces
-// a LoweredProgram — the rewritten kernel, its memory layout, and (for the
-// parallel pipeline) the per-core placement + communication plan — and hands
-// it to a Backend (backend.hpp) to materialize.  The sim backend turns it
-// into an isa::Program; the native backend (src/native/) turns it into host
-// closures running on std::thread workers connected by SPSC rings.
-//
-// The form is deliberately a non-owning view: during a pipeline run it views
-// the CompileState, and after compilation it views a CompiledParallel (which
-// owns the kernel inside its PartitionResult and owns the ProgramPlan, so
-// the view stays valid for the compiled object's lifetime).
+// The form is deliberately a non-owning view: it views a CompiledParallel
+// (which owns the kernel inside its PartitionResult and owns the
+// ProgramPlan, so the view stays valid for the compiled object's lifetime)
+// or, for the sequential form, a caller-owned kernel/layout pair.
 #pragma once
 
 #include "compiler/plan.hpp"

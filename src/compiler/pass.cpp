@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
-#include "compiler/backend.hpp"
 #include "compiler/check.hpp"
 #include "compiler/cost_model.hpp"
-#include "compiler/lowered.hpp"
+#include "compiler/lower.hpp"
 #include "support/error.hpp"
 #include "support/str.hpp"
 
@@ -137,7 +136,7 @@ class SelectPass final : public Pass {
         ProgramPlan plan = BuildProgramPlan(index, assignment, std::move(comm));
         CheckCommunicationPairing(kernel, plan);
         CheckQueueCapacity(plan, state.options.assumed_queue_capacity);
-        Built built{LowerToSim({&kernel, state.layout, &plan}),
+        Built built{LowerParallel(kernel, *state.layout, plan),
                     std::move(plan), std::move(assignment), 0.0, i};
         if (model != nullptr) {
           ScoredCandidate scored =
@@ -228,7 +227,7 @@ class LowerSequentialPass final : public Pass {
   void Run(CompileState& state) override {
     FGPAR_CHECK_MSG(state.layout != nullptr,
                     "lower stage requires a data layout");
-    state.program = LowerToSim({&state.kernel(), state.layout, nullptr});
+    state.program = LowerSequential(state.kernel(), *state.layout);
     state.Note("code_words",
                static_cast<std::int64_t>(state.program->size()));
   }

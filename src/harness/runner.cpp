@@ -136,27 +136,6 @@ void KernelRunner::CompareMemory(const sim::Machine& machine,
   }
 }
 
-std::uint64_t KernelRunner::MeasureSequential(const RunConfig& config) const {
-  const Prepared prepared = Prepare(config);
-  const isa::Program program =
-      compiler::CompileSequential(kernel_, layout_, config.compile);
-  sim::Machine machine(MachineConfigFor(config, 1), program);
-  LoadImage(machine, prepared.image);
-  machine.StartCoreAt(0, "main");
-  const sim::RunResult result =
-      RunBounded(machine, config.max_cycles, kernel_.name(), "sequential execution");
-  if (config.verify) {
-    CompareMemory(machine, GoldenMemory(prepared), "sequential codegen");
-  }
-  return result.core0_halt_cycle;
-}
-
-analysis::ProfileData KernelRunner::CollectProfile(const RunConfig& config) const {
-  const Prepared prepared = Prepare(config);
-  return analysis::ProfileData::Collect(kernel_, layout_, prepared.params,
-                                        prepared.image, config.cache);
-}
-
 model::Prediction KernelRunner::Predict(const RunConfig& config) const {
   const Prepared prepared = Prepare(config);
   compiler::CompileOptions options = config.compile;
@@ -428,7 +407,7 @@ telemetry::CounterRegistry KernelRunTelemetry(const KernelRun& run) {
   registry.Count("max_queue_occupancy",
                  static_cast<std::uint64_t>(run.max_queue_occupancy),
                  /*artifact=*/false);
-  // Threaded-tier translation observability.  Deliberately artifact=false:
+  // Trace translation observability.  Deliberately artifact=false:
   // these vary with the resolved run tier while every artifact-visible
   // number above is tier-invariant, so bench artifacts stay byte-identical
   // across tiers.
@@ -451,8 +430,6 @@ telemetry::CounterRegistry KernelRunTelemetry(const KernelRun& run) {
   registry.Count("sim.threaded.deopt_cap", ts.deopt_cap, /*artifact=*/false);
   registry.Count("sim.threaded.deopt_end", ts.deopt_end, /*artifact=*/false);
   registry.Count("sim.threaded.deopt_boundary", ts.deopt_boundary,
-                 /*artifact=*/false);
-  registry.Count("sim.threaded.deopt_multi_core", ts.deopt_multi_core,
                  /*artifact=*/false);
   // Native-backend entries exist only for native runs, so sim-backend
   // artifacts keep their historical bytes.  The deterministic facts

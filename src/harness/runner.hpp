@@ -120,9 +120,9 @@ struct RunConfig {
   std::uint64_t stall_watchdog_cycles = 0;
   /// Pins every simulated machine to one run tier (see
   /// MachineConfig::force_tier; kAuto picks the fastest eligible tier).
-  /// Results are bit-identical across tiers — this knob exists so the
-  /// sweep engine, fgparc --tier, and micro_sim can pin or compare tiers,
-  /// and so the tier-equivalence tests can demand a specific loop.
+  /// Results are bit-identical across tiers — this knob exists so
+  /// fgparc --tier can pin a tier and the tier-equivalence tests can
+  /// demand a specific loop.
   sim::RunTier force_tier = sim::RunTier::kAuto;
   /// Execution backend.  kSim (default) runs everything on the simulator.
   /// kNative additionally executes the kernel for real on host threads —
@@ -182,9 +182,9 @@ struct KernelRun {
   std::string failure_reason;      // empty on a clean run
   sim::FaultStats fault_stats;     // injected-fault counters (last attempt)
 
-  // Threaded-tier translation/deopt counters, summed over the measured
-  // sequential and parallel machines (sim.threaded.* in the registry;
-  // all zero when the run resolved to a lower tier).
+  // Trace translation/deopt counters, summed over the measured sequential
+  // and parallel machines (sim.threaded.* in the registry; all zero unless
+  // a single-core machine ran under the auto tier).
   sim::ThreadedStats threaded_stats;
 
   // Native-backend measurements (RunConfig::backend == kNative only; never
@@ -216,15 +216,6 @@ class KernelRunner {
   /// mismatches and compile errors; parallel-execution failures follow
   /// config.fallback (by default they degrade to sequential, never throw).
   KernelRun Run(const RunConfig& config) const;
-
-  /// Sequential-only measurement (golden-checked).
-  std::uint64_t MeasureSequential(const RunConfig& config) const;
-
-  /// The profile feedback a Run under `config` would collect (Section
-  /// III-I.3): one interpretation of the prepared workload through the
-  /// cache model.  The autotuner predicts with this so the analytic model
-  /// sees the same memory latencies the simulated compile does.
-  analysis::ProfileData CollectProfile(const RunConfig& config) const;
 
   /// Whole-kernel analytic prediction under `config` — no simulation.
   /// Reproduces the candidate a compile under `config` would select

@@ -7,7 +7,6 @@
 #include <cstdlib>
 #include <mutex>
 #include <optional>
-#include <thread>
 
 #include "harness/checkpoint.hpp"
 #include "harness/runner.hpp"
@@ -127,40 +126,19 @@ SweepOutcome SweepSupervisor::Run(const PointBody& body,
         context.cycle_budget = config_.point_cycle_budget;
         context.deadline_seconds = config_.point_deadline_seconds;
 
-        // Telemetry routing for this point: the shared sink (re-stamped to
-        // this point's stream lane) and/or a forensic ring of the last N
-        // sim events, teed together when both are configured.
-        std::optional<telemetry::RingBufferSink> ring;
-        if (config_.failure_ring_capacity > 0) {
-          ring.emplace(config_.failure_ring_capacity);
-        }
+        // Telemetry routing for this point: the shared sink, re-stamped to
+        // this point's stream lane.
         telemetry::StreamSink lane(config_.telemetry, static_cast<int>(i));
-        std::optional<telemetry::FanoutSink> tee;
-        if (config_.telemetry != nullptr && ring.has_value()) {
-          tee.emplace(std::vector<telemetry::TelemetrySink*>{&lane, &*ring});
-          context.telemetry = &*tee;
-        } else if (config_.telemetry != nullptr) {
+        if (config_.telemetry != nullptr) {
           context.telemetry = &lane;
-        } else if (ring.has_value()) {
-          context.telemetry = &*ring;
         }
 
         std::exception_ptr last_error;
         bool deadline_exceeded = false;
 
         for (int attempt = 0; attempt < attempts; ++attempt) {
-          if (attempt > 0 && config_.retry_backoff_seconds > 0.0) {
-            const double backoff = std::min(
-                config_.retry_backoff_cap_seconds,
-                config_.retry_backoff_seconds *
-                    static_cast<double>(std::uint64_t{1} << (attempt - 1)));
-            std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-          }
           context.attempt = attempt;
           context.seed = AttemptSeed(config_.base_seed, i, attempt);
-          if (ring.has_value()) {
-            ring->Clear();  // last_events reflects the final attempt only
-          }
           // The attempt span (category "point" for the first try, "retry"
           // for re-runs) is emitted even when the body throws — the trace
           // shows exactly where the wall-clock went.
@@ -219,9 +197,6 @@ SweepOutcome SweepSupervisor::Run(const PointBody& body,
         failure.last_seed = context.seed;
         failure.deadline_exceeded = deadline_exceeded;
         failure.exception = last_error;
-        if (ring.has_value()) {
-          failure.last_events = ring->Events();
-        }
         if (repro) {
           try {
             failure.repro_bundle = repro(context, failure);

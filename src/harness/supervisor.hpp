@@ -9,10 +9,10 @@
 //    (point_deadline_seconds) and a simulated cycle budget
 //    (point_cycle_budget, delivered to the body through PointContext so
 //    it can feed RunConfig::max_cycles / the stall watchdog);
-//  * retry — a failed point is retried up to max_retries times with
-//    capped exponential backoff; attempt 0 always uses the base seed
-//    (so a clean sweep is byte-identical to an unsupervised one) and
-//    each retry reseeds deterministically from (base, index, attempt);
+//  * retry — a failed point is retried up to max_retries times; attempt 0
+//    always uses the base seed (so a clean sweep is byte-identical to an
+//    unsupervised one) and each retry reseeds deterministically from
+//    (base, index, attempt);
 //  * quarantine — a point that exhausts its retries becomes a structured
 //    PointFailure (exception text, attempt count, last seed, optional
 //    repro-bundle name) in the SweepOutcome instead of an exception; the
@@ -73,12 +73,6 @@ struct SupervisorConfig {
   std::uint64_t base_seed = 0x5EED;
   /// Failed points are retried this many times with fresh seeds.
   int max_retries = 0;
-  /// Host-side backoff before retry k: base * 2^(k-1), capped.  Zero
-  /// disables sleeping (the default — simulator failures are
-  /// deterministic in the seed, so backoff only matters for host-level
-  /// flakiness such as disk pressure).
-  double retry_backoff_seconds = 0.0;
-  double retry_backoff_cap_seconds = 2.0;
   /// Host wall-clock budget per attempt (0 = unlimited).
   double point_deadline_seconds = 0.0;
   /// Simulated-cycle budget per attempt, delivered via PointContext
@@ -99,12 +93,6 @@ struct SupervisorConfig {
   /// sink through PointContext::telemetry with the stream lane re-stamped
   /// to the point index, so concurrent points stay distinguishable.
   telemetry::TelemetrySink* telemetry = nullptr;
-  /// When > 0, each in-flight point additionally tees its sim events into
-  /// a bounded ring of this capacity; a quarantined point's final-attempt
-  /// ring contents are published as PointFailure::last_events — "what was
-  /// the machine doing right before it failed" forensics.  Works with or
-  /// without a shared `telemetry` sink.
-  std::size_t failure_ring_capacity = 0;
   /// Graceful SIGTERM: install a handler that asks the sweep to drain —
   /// points already running finish (and are journaled), points not yet
   /// started are skipped, and Run returns with SweepOutcome::stopped set
@@ -123,9 +111,8 @@ struct PointContext {
   std::uint64_t cycle_budget = 0;
   double deadline_seconds = 0.0;
   /// The supervisor's telemetry routing for this attempt (stream lane
-  /// already stamped with the point index; includes the failure ring when
-  /// configured).  Bodies pass it straight to RunConfig::telemetry.  Null
-  /// when the sweep is untraced and no failure ring was requested.
+  /// already stamped with the point index).  Bodies pass it straight to
+  /// RunConfig::telemetry.  Null when the sweep is untraced.
   telemetry::TelemetrySink* telemetry = nullptr;
 };
 
@@ -139,10 +126,6 @@ struct PointFailure {
   bool deadline_exceeded = false;  // last failure was the wall-clock deadline
   std::string repro_bundle;   // bundle name from the ReproEmitter, or ""
   std::exception_ptr exception;    // last attempt's exception
-  /// The final attempt's last sim events, oldest first (empty unless
-  /// SupervisorConfig::failure_ring_capacity > 0).  Event names point at
-  /// static opcode storage, so the vector stays valid indefinitely.
-  std::vector<telemetry::SimEvent> last_events;
 };
 
 struct SweepOutcome {

@@ -14,7 +14,6 @@ harness::RunConfig ToRunConfig(const ExperimentConfig& config) {
   run.queue.transfer_latency = config.transfer_latency;
   run.verify = config.verify;
   run.tune_by_simulation = config.tune_by_simulation;
-  run.force_tier = config.force_tier;
   run.backend = config.backend;
   return run;
 }

@@ -32,8 +32,6 @@ struct ExperimentConfig {
   /// <= 0 resolves via harness::ResolveSweepThreads: FGPAR_SWEEP_THREADS
   /// if set, else the host's hardware concurrency.
   int sweep_threads = 0;
-  /// See harness::RunConfig::force_tier (kAuto = fastest eligible tier).
-  sim::RunTier force_tier = sim::RunTier::kAuto;
   /// See harness::RunConfig::backend: kNative additionally executes the
   /// kernel on real host threads and records measured wall-clock numbers.
   compiler::BackendKind backend = compiler::BackendKind::kSim;

@@ -6,23 +6,12 @@ namespace fgpar::sim {
 
 using isa::Opcode;
 
-std::string_view RunTierName(RunTier tier) {
-  switch (tier) {
-    case RunTier::kAuto: return "auto";
-    case RunTier::kSlow: return "slow";
-    case RunTier::kFast: return "fast";
-    case RunTier::kThreaded: return "threaded";
-  }
-  FGPAR_UNREACHABLE("bad RunTier");
-}
-
 RunTier ParseRunTier(std::string_view name) {
   if (name == "auto") return RunTier::kAuto;
   if (name == "slow") return RunTier::kSlow;
   if (name == "fast") return RunTier::kFast;
-  if (name == "threaded") return RunTier::kThreaded;
   throw Error("unknown run tier '" + std::string(name) +
-              "' (expected auto, slow, fast, or threaded)");
+              "' (expected auto, slow, or fast)");
 }
 
 int ResultLatency(const CoreTiming& t, Opcode op) {

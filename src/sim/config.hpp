@@ -21,21 +21,15 @@ namespace fgpar::sim {
 /// they differ only in host throughput and in which instrumentation hooks
 /// they can carry.
 ///
-///  * kAuto     — pick the fastest tier whose hooks are satisfied: the slow
-///                loop when faults / telemetry / the watchdog are active,
-///                the threaded tier otherwise.
-///  * kSlow     — the instrumented reference loop (RunSlow).
-///  * kFast     — the predecoded fast loop (RunFast), never the translator.
-///  * kThreaded — the fast loop plus the direct-threaded block translator
-///                (sim/threaded.hpp).  Instrumentation hooks still win: a
-///                machine with faults, telemetry, or a watchdog runs the
-///                reference loop regardless of this knob.
-enum class RunTier : std::uint8_t { kAuto = 0, kSlow, kFast, kThreaded };
+///  * kAuto — the fast loop, which on a single-core machine also runs hot
+///            blocks as direct-threaded traces (sim/threaded.hpp).  Faults,
+///            telemetry, or the watchdog route the run to the slow loop.
+///  * kSlow — the instrumented reference loop (RunSlow).
+///  * kFast — the predecoded fast loop (RunFast / RunFastSingle), never
+///            the translator.
+enum class RunTier : std::uint8_t { kAuto = 0, kSlow, kFast };
 
-/// Stable lowercase name ("auto", "slow", "fast", "threaded").
-std::string_view RunTierName(RunTier tier);
-
-/// Inverse of RunTierName; throws fgpar::Error on an unknown name.
+/// Parses "auto", "slow", or "fast"; throws fgpar::Error on any other name.
 RunTier ParseRunTier(std::string_view name);
 
 /// Per-operation-class issue latencies (cycles until the result register is

@@ -126,20 +126,20 @@ PauseResult Machine::RunUntil(std::uint64_t stop_cycle) {
     open_stall_cause_.assign(cores_.size(), telemetry::StallCause::kNone);
     open_stall_begin_.assign(cores_.size(), 0);
   }
-  switch (resolved_tier()) {
-    case RunTier::kSlow:
-      return RunSlow();
-    case RunTier::kFast:
-      return RunFast();
-    case RunTier::kThreaded:
-      return RunThreaded();
-    case RunTier::kAuto:
-      break;  // resolved_tier() never returns kAuto
+  const RunTier tier = resolved_tier();
+  if (tier == RunTier::kSlow) {
+    return RunSlow();
   }
-  FGPAR_UNREACHABLE("unresolved run tier");
+  if (!decoded_) {
+    decoded_ = std::make_unique<DecodedProgram>(program_, config_.timing);
+  }
+  if (config_.num_cores > 1) {
+    return RunFast();
+  }
+  return RunFastSingle(/*traced=*/tier == RunTier::kAuto);
 }
 
-RunTier Machine::ResolveTierUncached() const {
+RunTier Machine::resolved_tier() const {
   // Instrumentation hooks always win: the reference loop is the only one
   // that carries fault injection, the watchdog, and the sim-event sink.
   if (injector_.enabled() || telemetry_ != nullptr ||
@@ -147,26 +147,7 @@ RunTier Machine::ResolveTierUncached() const {
       config_.force_tier == RunTier::kSlow) {
     return RunTier::kSlow;
   }
-  if (config_.force_tier == RunTier::kFast) {
-    return RunTier::kFast;
-  }
-  return RunTier::kThreaded;  // kAuto defaults to the fastest tier
-}
-
-RunTier Machine::resolved_tier() {
-  if (tier_dirty_) {
-    resolved_tier_ = ResolveTierUncached();
-    tier_dirty_ = false;
-    ++tier_resolve_count_;
-  }
-  return resolved_tier_;
-}
-
-void Machine::SetHostTelemetry(telemetry::TelemetrySink* sink) {
-  host_telemetry_ = sink;
-  if (threaded_) {
-    threaded_->SetSpanSink(sink);
-  }
+  return config_.force_tier;
 }
 
 RunResult Machine::FinishResult() const {
@@ -360,12 +341,6 @@ PauseResult Machine::RunFast() {
   // the core itself issues), and its issue stage is free.  Re-evaluating
   // CanEnqueue/CanDequeue at the core's exact position in the cycle order
   // therefore reproduces precisely what Step would have concluded.
-  if (!decoded_) {
-    decoded_ = std::make_unique<DecodedProgram>(program_, config_.timing);
-  }
-  if (config_.num_cores == 1) {
-    return RunFastSingle();
-  }
   const DecodedProgram& dp = *decoded_;
 
   constexpr std::uint64_t kNoEvent = std::numeric_limits<std::uint64_t>::max();
@@ -517,7 +492,7 @@ PauseResult Machine::RunFast() {
   return PauseResult{true, FinishResult()};
 }
 
-PauseResult Machine::RunFastSingle() {
+PauseResult Machine::RunFastSingle(bool traced) {
   // Single-core specialization of the fast path.  A hardware queue needs
   // two distinct cores (QueueMatrix rejects self-queues), so on one core a
   // step can only issue or wait on its own pipeline — no SMT arbitration,
@@ -530,65 +505,18 @@ PauseResult Machine::RunFastSingle() {
   // it makes in between hit Step's next_issue early-out, which touches
   // nothing.  Cycle counts and statistics are therefore bit-identical
   // (tests/sim_golden_test.cpp).
+  //
+  // When `traced`, every iteration first checks the pause horizon, then
+  // either executes a compiled trace anchored at pc or takes one
+  // interpreted step, which also counts control transfers (the translation
+  // trigger).  Trace exits always land on a state this loop could itself
+  // have been in at this boundary (sim/threaded.cpp), so any mix of traced
+  // and interpreted execution is bit-identical to the untraced loop.
   const DecodedProgram& dp = *decoded_;
-  Core& core = cores_.front();
-
-  while (core.started() && !core.halted()) {
-    if (now_ >= stop_at_) {
-      return PauseHere();  // natural loop boundary: all state consistent
-    }
-    const std::uint64_t next = core.next_issue_cycle();
-    if (next > now_) {
-      now_ = next;
-    }
-    FGPAR_CHECK_MSG(now_ < config_.max_cycles, "simulation exceeded max_cycles");
-    if (core.StepFast(now_, dp, memory_, queues_) == StepOutcome::kIssued) {
-      if (core.halted() && !core0_halt_recorded_) {
-        core0_halt_recorded_ = true;
-        core0_halt_cycle_ = now_;
-      }
-      last_issue_cycle_ = now_;
-      ++now_;
-    } else {
-      // kPipelineBusy with a strictly future next_issue_cycle; queue stalls
-      // are unreachable on one core, so the next iteration always advances.
-      FGPAR_CHECK_MSG(now_ - last_issue_cycle_ < config_.no_progress_limit,
-                      "no core issued for no_progress_limit cycles");
-    }
+  if (traced && !threaded_) {
+    threaded_ = std::make_unique<ThreadedCache>(dp, &threaded_stats_);
   }
-
-  return PauseResult{true, FinishResult()};
-}
-
-PauseResult Machine::RunThreaded() {
-  if (!decoded_) {
-    decoded_ = std::make_unique<DecodedProgram>(program_, config_.timing);
-  }
-  if (config_.num_cores > 1) {
-    // Machine-level deopt: cross-core trace execution would have to
-    // replicate lockstep SMT slot arbitration and shared cache/queue
-    // timing order, which is exactly what the cycle loop exists to model.
-    ++threaded_stats_.deopt_multi_core;
-    return RunFast();
-  }
-  if (!threaded_) {
-    threaded_ =
-        std::make_unique<ThreadedCache>(*decoded_, &threaded_stats_,
-                                        host_telemetry_);
-  }
-  return RunThreadedSingle();
-}
-
-PauseResult Machine::RunThreadedSingle() {
-  // RunFastSingle plus trace dispatch.  Every iteration first checks the
-  // pause horizon (the same natural loop boundary as the fast loop), then
-  // either executes a compiled trace anchored at pc or takes one exact
-  // RunFastSingle step.  Trace exits always land on a state the fast loop
-  // could itself have been in at this boundary (sim/threaded.cpp), so the
-  // interleaving below is bit-identical to RunFastSingle for any mix of
-  // traced and interpreted execution.
-  const DecodedProgram& dp = *decoded_;
-  ThreadedCache& tc = *threaded_;
+  ThreadedCache* const tc = traced ? threaded_.get() : nullptr;
   Core& core = cores_.front();
   const std::uint64_t limit = std::min(stop_at_, config_.max_cycles);
   // After a kBoundary trace exit the same trace would exit again without
@@ -600,8 +528,8 @@ PauseResult Machine::RunThreadedSingle() {
     if (now_ >= stop_at_) {
       return PauseHere();  // natural loop boundary: all state consistent
     }
-    if (!interpret_once) {
-      ThreadedTrace* trace = tc.TraceAt(core.pc());
+    if (tc != nullptr && !interpret_once) {
+      ThreadedTrace* trace = tc->TraceAt(core.pc());
       if (trace != nullptr) {
         ++threaded_stats_.trace_enters;
         const TraceRun run = ThreadedExec::Run(
@@ -616,7 +544,7 @@ PauseResult Machine::RunThreadedSingle() {
           case TraceRun::Exit::kBranch:
             // A taken branch left the trace: its target may be (or become)
             // another trace head.
-            tc.NoteControlTransfer(core.pc());
+            tc->NoteControlTransfer(core.pc());
             continue;
           case TraceRun::Exit::kDeopt:
             // pc is on an untranslatable op; the dispatch above will miss
@@ -630,8 +558,6 @@ PauseResult Machine::RunThreadedSingle() {
     }
     interpret_once = false;
 
-    // One interpreted issue attempt — textually RunFastSingle's body, plus
-    // heat tracking on control transfers (the translation trigger).
     const std::uint64_t next = core.next_issue_cycle();
     if (next > now_) {
       now_ = next;
@@ -644,8 +570,8 @@ PauseResult Machine::RunThreadedSingle() {
           core0_halt_recorded_ = true;
           core0_halt_cycle_ = now_;
         }
-      } else if (core.pc() != pc_before + 1) {
-        tc.NoteControlTransfer(core.pc());
+      } else if (tc != nullptr && core.pc() != pc_before + 1) {
+        tc->NoteControlTransfer(core.pc());
       }
       last_issue_cycle_ = now_;
       ++now_;

@@ -116,6 +116,11 @@ struct PauseResult {
 class Machine {
  public:
   Machine(MachineConfig config, isa::Program program);
+  /// Each core keeps a reference to config_, and the memory system and
+  /// queues keep a pointer to injector_, so a machine stays where it was
+  /// built: no copies, no moves.
+  Machine(const Machine&) = delete;
+  Machine& operator=(const Machine&) = delete;
 
   /// Arms `core` to begin at program symbol `entry` when Run is called.
   void StartCoreAt(int core, const std::string& entry);
@@ -126,12 +131,12 @@ class Machine {
   /// are exceeded.
   ///
   /// Three run tiers exist behind this call (docs/INTERNALS.md §12).  The
-  /// *threaded tier* (the default when no instrumentation is attached)
-  /// runs the fast loop plus the direct-threaded block translator
-  /// (sim/threaded.hpp), which compiles hot basic blocks into computed-
-  /// goto traces.  The *fast tier* steps against the predecoded
-  /// instruction cache (built lazily, once per Machine) and skips cores
-  /// that provably cannot issue this cycle.  The *slow tier* is the
+  /// *fast tier* steps against the predecoded instruction cache (built
+  /// lazily, once per Machine) and skips cores that provably cannot issue
+  /// this cycle.  The *auto tier* (the default when no instrumentation is
+  /// attached) is the fast tier plus, on a single-core machine, the
+  /// direct-threaded block translator (sim/threaded.hpp), which compiles
+  /// hot basic blocks into computed-goto traces.  The *slow tier* is the
   /// reference implementation: it polls every core every cycle and
   /// carries the fault injector, the stall watchdog, and the telemetry
   /// sink; it is used iff fault injection is enabled,
@@ -182,26 +187,14 @@ class Machine {
   /// (tests/telemetry_test.cpp).  The open-stall tracking behind the
   /// interval events is telemetry-only bookkeeping: it is reset at every
   /// fresh Run and excluded from Snapshot/Restore.
-  void SetTelemetry(telemetry::TelemetrySink* sink) {
-    telemetry_ = sink;
-    tier_dirty_ = true;  // the sink choice changes tier eligibility
-  }
+  void SetTelemetry(telemetry::TelemetrySink* sink) { telemetry_ = sink; }
   telemetry::TelemetrySink* telemetry() const { return telemetry_; }
 
-  /// Installs a host-span-only sink for the threaded tier's `translate`
-  /// SpanEvents (nullptr to disable).  Unlike SetTelemetry this does NOT
-  /// affect tier eligibility: sim-event sinks force the reference loop,
-  /// under which traces never exist, so translation observability needs
-  /// its own channel.
-  void SetHostTelemetry(telemetry::TelemetrySink* sink);
+  /// The tier RunUntil would use right now: kSlow when an instrumentation
+  /// hook is active, otherwise MachineConfig::force_tier.
+  RunTier resolved_tier() const;
 
-  /// The tier RunUntil would use right now (resolves and caches it).
-  RunTier resolved_tier();
-  /// How many times tier eligibility has been derived (regression hook:
-  /// repeated Run calls must not re-derive it; see tests).
-  int tier_resolve_count() const { return tier_resolve_count_; }
-
-  /// Translator/executor observability for the threaded tier.  Derived
+  /// Translator/executor observability for the auto tier's traces.  Derived
   /// diagnostic state: excluded from Snapshot and reset by Restore.
   const ThreadedStats& threaded_stats() const { return threaded_stats_; }
 
@@ -223,22 +216,18 @@ class Machine {
   StallReport BuildStallReport(std::uint64_t stalled_cycles,
                                bool provable_deadlock) const;
 
-  /// Fast run loop: predecoded dispatch, issue-skip for blocked cores, no
-  /// instrumentation hooks.  Bit-identical timing/state to RunSlow.
+  /// Fast run loop for multi-core machines: predecoded dispatch,
+  /// issue-skip for blocked cores, no instrumentation hooks.  Bit-identical
+  /// timing/state to RunSlow.
   PauseResult RunFast();
-  /// Single-core specialization of RunFast: no SMT arbitration, no queue
-  /// stalls (a 1-core machine has no queues), so the loop is just
-  /// issue / jump-to-next-issue-cycle.  Bit-identical to RunSlow.
-  PauseResult RunFastSingle();
-  /// Threaded tier: RunFastSingle plus hot-block translation into
-  /// direct-threaded traces (sim/threaded.hpp).  Multi-core machines
-  /// delegate wholesale to RunFast (a counted machine-level deopt):
+  /// Single-core fast loop: no SMT arbitration, no queue stalls (a 1-core
+  /// machine has no queues), so the loop is just issue /
+  /// jump-to-next-issue-cycle.  With `traced` it also runs hot blocks as
+  /// direct-threaded traces (sim/threaded.hpp).  Traces stay single-core:
   /// lockstep SMT arbitration and shared cache/queue timing make
-  /// cross-core trace execution unsound for bit-identity.
-  PauseResult RunThreaded();
-  PauseResult RunThreadedSingle();
-  /// Derives the tier from hooks + force knobs (no caching).
-  RunTier ResolveTierUncached() const;
+  /// cross-core trace execution unsound for bit-identity.  Bit-identical
+  /// to RunSlow either way.
+  PauseResult RunFastSingle(bool traced);
   /// Reference run loop: polls every core every cycle; carries fault
   /// injection, the stall watchdog, and the telemetry sink.
   PauseResult RunSlow();
@@ -287,20 +276,11 @@ class Machine {
   std::vector<std::uint64_t> open_stall_begin_;
   /// Predecoded instruction cache; built on the first fast-path Run.
   std::unique_ptr<DecodedProgram> decoded_;
-  /// Threaded-tier trace cache; built on the first threaded Run of a
-  /// single-core machine.  Derived state: dropped wholesale by Restore
-  /// (traces are rebuilt lazily, like decoded_) and never serialized.
+  /// Trace cache; built on the first auto-tier Run of a single-core
+  /// machine.  Derived state: dropped wholesale by Restore (traces are
+  /// rebuilt lazily, like decoded_) and never serialized.
   std::unique_ptr<ThreadedCache> threaded_;
   ThreadedStats threaded_stats_;
-  /// Host-span sink for translate spans (does not affect tier choice).
-  telemetry::TelemetrySink* host_telemetry_ = nullptr;
-  /// Cached tier resolution.  Eligibility depends only on construction-
-  /// time config (faults, watchdog, force knobs) and the telemetry sink,
-  /// so it is derived once and invalidated only by SetTelemetry instead
-  /// of being re-scanned on every Run call.
-  RunTier resolved_tier_ = RunTier::kAuto;
-  bool tier_dirty_ = true;
-  int tier_resolve_count_ = 0;
   /// Per-core outcome of the current cycle, reused across Run calls to
   /// avoid per-cycle clears (only slots of cores evaluated this cycle are
   /// written; stale slots are never read — see the run-loop comments).

@@ -372,7 +372,7 @@ void Machine::Restore(const std::vector<std::uint8_t>& bytes) {
   queues_.LoadState(r);
   injector_.LoadState(r);
   r.CheckFullyConsumed();
-  // The threaded-tier trace cache is derived state keyed by heat observed
+  // The trace cache is derived state keyed by heat observed
   // during *this* machine's execution history, which the restore just
   // replaced: drop it (and its diagnostics) wholesale and let the restored
   // run re-profile.  Keeping stale traces would still be functionally

@@ -2,10 +2,8 @@
 //
 // The executor is one function containing a label per TraceOpKind; each
 // handler ends by jumping straight to the next slot's pre-resolved label
-// address (GNU computed goto), so dispatch is a single indirect branch per
-// simulated instruction.  On toolchains without the labels-as-values
-// extension the same handler bodies are reached through a dense switch —
-// semantics are identical, only dispatch cost differs.
+// address (GNU computed goto, which GCC and Clang support), so dispatch is
+// a single indirect branch per simulated instruction.
 //
 // Per-op timing replicates Core::StepFast exactly, folded into locals:
 //
@@ -35,12 +33,6 @@
 #include "sim/core.hpp"
 #include "support/error.hpp"
 
-#if defined(__GNUC__) || defined(__clang__)
-#define FGPAR_THREADED_CGOTO 1
-#else
-#define FGPAR_THREADED_CGOTO 0
-#endif
-
 namespace fgpar::sim {
 
 using isa::Opcode;
@@ -57,7 +49,6 @@ ThreadedStats& ThreadedStats::operator+=(const ThreadedStats& o) {
   deopt_cap += o.deopt_cap;
   deopt_end += o.deopt_end;
   deopt_boundary += o.deopt_boundary;
-  deopt_multi_core += o.deopt_multi_core;
   return *this;
 }
 
@@ -65,11 +56,7 @@ ThreadedStats& ThreadedStats::operator+=(const ThreadedStats& o) {
 // Executor
 // ---------------------------------------------------------------------------
 
-#if FGPAR_THREADED_CGOTO
 #define FGPAR_T_DISPATCH() goto* op->handler
-#else
-#define FGPAR_T_DISPATCH() goto dispatch_loop
-#endif
 
 // Issue-stage + scoreboard prologue shared by every executing handler.
 // READY is the max ready-cycle over the op's sources (resolved statically
@@ -113,7 +100,6 @@ ThreadedStats& ThreadedStats::operator+=(const ThreadedStats& o) {
 TraceRun ThreadedExec::Run(Core& core, ThreadedTrace& trace, std::uint64_t& now,
                            std::uint64_t limit, std::uint64_t& last_issue,
                            ThreadedStats& stats) {
-#if FGPAR_THREADED_CGOTO
   // One label address per TraceOpKind, in enum order.
   static const void* const kHandlers[kNumTraceOpKinds] = {
       &&t_AddI, &&t_SubI, &&t_MulI, &&t_DivI, &&t_RemI, &&t_AndI, &&t_OrI,
@@ -129,7 +115,6 @@ TraceRun ThreadedExec::Run(Core& core, ThreadedTrace& trace, std::uint64_t& now,
     }
     trace.resolved = true;
   }
-#endif
 
   std::int64_t* const gpr = core.gpr_.data();
   double* const fpr = core.fpr_.data();
@@ -146,54 +131,6 @@ TraceRun ThreadedExec::Run(Core& core, ThreadedTrace& trace, std::uint64_t& now,
   TraceRun result;
 
   FGPAR_T_DISPATCH();
-
-#if !FGPAR_THREADED_CGOTO
-dispatch_loop:
-  switch (op->kind) {
-    case TraceOpKind::kAddI: goto t_AddI;
-    case TraceOpKind::kSubI: goto t_SubI;
-    case TraceOpKind::kMulI: goto t_MulI;
-    case TraceOpKind::kDivI: goto t_DivI;
-    case TraceOpKind::kRemI: goto t_RemI;
-    case TraceOpKind::kAndI: goto t_AndI;
-    case TraceOpKind::kOrI: goto t_OrI;
-    case TraceOpKind::kXorI: goto t_XorI;
-    case TraceOpKind::kShlI: goto t_ShlI;
-    case TraceOpKind::kShrI: goto t_ShrI;
-    case TraceOpKind::kMinI: goto t_MinI;
-    case TraceOpKind::kMaxI: goto t_MaxI;
-    case TraceOpKind::kLiI: goto t_LiI;
-    case TraceOpKind::kMovI: goto t_MovI;
-    case TraceOpKind::kCeqI: goto t_CeqI;
-    case TraceOpKind::kCneI: goto t_CneI;
-    case TraceOpKind::kCltI: goto t_CltI;
-    case TraceOpKind::kCleI: goto t_CleI;
-    case TraceOpKind::kAddF: goto t_AddF;
-    case TraceOpKind::kSubF: goto t_SubF;
-    case TraceOpKind::kMulF: goto t_MulF;
-    case TraceOpKind::kDivF: goto t_DivF;
-    case TraceOpKind::kNegF: goto t_NegF;
-    case TraceOpKind::kAbsF: goto t_AbsF;
-    case TraceOpKind::kSqrtF: goto t_SqrtF;
-    case TraceOpKind::kMinF: goto t_MinF;
-    case TraceOpKind::kMaxF: goto t_MaxF;
-    case TraceOpKind::kFmaF: goto t_FmaF;
-    case TraceOpKind::kLiF: goto t_LiF;
-    case TraceOpKind::kMovF: goto t_MovF;
-    case TraceOpKind::kItoF: goto t_ItoF;
-    case TraceOpKind::kFtoI: goto t_FtoI;
-    case TraceOpKind::kCeqF: goto t_CeqF;
-    case TraceOpKind::kCltF: goto t_CltF;
-    case TraceOpKind::kCleF: goto t_CleF;
-    case TraceOpKind::kNop: goto t_Nop;
-    case TraceOpKind::kJmp: goto t_Jmp;
-    case TraceOpKind::kBz: goto t_Bz;
-    case TraceOpKind::kBnz: goto t_Bnz;
-    case TraceOpKind::kHalt: goto t_Halt;
-    case TraceOpKind::kExit: goto t_Exit;
-  }
-  FGPAR_UNREACHABLE("bad TraceOpKind");
-#endif
 
   // ---- integer ALU (wrap semantics via uint64, like Core::ExecuteImpl) ----
 t_AddI:
@@ -531,11 +468,9 @@ TraceOp MakeExitOp(TraceExitCause cause, std::int64_t pc) {
 }  // namespace
 
 ThreadedCache::ThreadedCache(const DecodedProgram& decoded,
-                             ThreadedStats* stats,
-                             telemetry::TelemetrySink* span_sink)
+                             ThreadedStats* stats)
     : decoded_(decoded),
       stats_(stats),
-      span_sink_(span_sink),
       trace_at_(decoded.size(), kColdPc),
       heat_(decoded.size(), 0) {}
 
@@ -556,7 +491,6 @@ void ThreadedCache::NoteControlTransfer(std::int64_t target) {
 }
 
 void ThreadedCache::TranslateBlockAt(std::int64_t head) {
-  telemetry::ScopedSpan span(span_sink_, "sim", "translate");
   ++stats_->blocks_translated;
   const std::int64_t size = static_cast<std::int64_t>(decoded_.size());
   const std::uint64_t taken_busy = decoded_.taken_branch_busy();
@@ -564,8 +498,6 @@ void ThreadedCache::TranslateBlockAt(std::int64_t head) {
   std::vector<TraceOp> ops;
   std::int64_t seg_start = -1;
   int walked = 0;
-  int new_traces = 0;
-  int trace_ops = 0;
 
   // Registers the pending segment (if long enough to pay for its enter/exit
   // cost) as a trace anchored at seg_start.  `terminated` marks segments
@@ -580,12 +512,10 @@ void ThreadedCache::TranslateBlockAt(std::int64_t head) {
       auto trace = std::make_unique<ThreadedTrace>();
       trace->head_pc = seg_start;
       trace->ops = std::move(ops);
-      trace_ops += static_cast<int>(trace->ops.size());
       trace_at_[static_cast<std::size_t>(seg_start)] =
           static_cast<std::int32_t>(traces_.size());
       traces_.push_back(std::move(trace));
       ++stats_->traces;
-      ++new_traces;
     }
     ops.clear();
     seg_start = -1;
@@ -625,11 +555,6 @@ void ThreadedCache::TranslateBlockAt(std::int64_t head) {
     flush(walked >= kMaxBlockOps ? TraceExitCause::kCap : TraceExitCause::kEnd,
           pc, /*terminated=*/false);
   }
-
-  span.Note("pc", head);
-  span.Note("ops_walked", walked);
-  span.Note("traces", new_traces);
-  span.Note("trace_ops", trace_ops);
 }
 
 }  // namespace fgpar::sim

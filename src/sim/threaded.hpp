@@ -1,5 +1,5 @@
-// Direct-threaded trace tier for the simulator (the third run tier,
-// above RunFast).
+// Direct-threaded traces for the simulator's single-core fast loop
+// (RunTier::kAuto).
 //
 // Once a control-transfer target has been reached kHotThreshold times, the
 // ThreadedCache translates the basic block starting there into one or more
@@ -35,7 +35,6 @@
 
 #include "sim/config.hpp"
 #include "sim/decoded.hpp"
-#include "support/telemetry/telemetry.hpp"
 
 namespace fgpar::sim {
 
@@ -107,10 +106,6 @@ struct ThreadedStats {
   std::uint64_t deopt_cap = 0;
   std::uint64_t deopt_end = 0;
   std::uint64_t deopt_boundary = 0;
-  /// Multi-core machines run RunFast wholesale (lockstep SMT arbitration
-  /// and shared cache timing make cross-core trace execution unsound for
-  /// bit-identity); counted once per Run call.
-  std::uint64_t deopt_multi_core = 0;
 
   ThreadedStats& operator+=(const ThreadedStats& o);
 };
@@ -157,8 +152,7 @@ class ThreadedCache {
   /// Hard cap on ops walked per block (runaway-straight-line guard).
   static constexpr int kMaxBlockOps = 256;
 
-  ThreadedCache(const DecodedProgram& decoded, ThreadedStats* stats,
-                telemetry::TelemetrySink* span_sink);
+  ThreadedCache(const DecodedProgram& decoded, ThreadedStats* stats);
 
   /// The trace anchored exactly at `pc`, or nullptr.  Out-of-range pcs
   /// (wild jumps) miss; the interpreter raises the reference pc-range
@@ -175,11 +169,6 @@ class ThreadedCache {
   /// there once it crosses kHotThreshold.
   void NoteControlTransfer(std::int64_t target);
 
-  /// Host-span sink for `translate` SpanEvents (nullptr = off).  Distinct
-  /// from Machine::SetTelemetry: sim-event sinks force the reference loop,
-  /// which would mean traces never exist while observed.
-  void SetSpanSink(telemetry::TelemetrySink* sink) { span_sink_ = sink; }
-
  private:
   void TranslateBlockAt(std::int64_t head);
 
@@ -188,7 +177,6 @@ class ThreadedCache {
 
   const DecodedProgram& decoded_;
   ThreadedStats* stats_;
-  telemetry::TelemetrySink* span_sink_;
   std::vector<std::int32_t> trace_at_;  // per pc: trace index or kColdPc/kNoTrace
   std::vector<std::uint32_t> heat_;     // per pc: control transfers seen
   std::vector<std::unique_ptr<ThreadedTrace>> traces_;

@@ -1,7 +1,6 @@
 #include "support/telemetry/sinks.hpp"
 
 #include <fstream>
-#include <ostream>
 
 #include "support/error.hpp"
 #include "support/json.hpp"
@@ -15,39 +14,6 @@ std::size_t KindIndex(SimEventKind kind) {
 }
 std::size_t CauseIndex(StallCause cause) {
   return static_cast<std::size_t>(cause);
-}
-
-/// Minimal JSON string escaping for the compact one-line format (event
-/// names are opcode mnemonics and enum names, but a custom span name could
-/// contain anything).
-std::string Escaped(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string QueueTrackName(const SimEvent& event) {
@@ -116,76 +82,6 @@ std::vector<SpanRecord> AggregatingSink::SpansInCategory(
     }
   }
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// JsonLinesSink
-// ---------------------------------------------------------------------------
-
-JsonLinesSink::JsonLinesSink(std::ostream& out, bool include_host)
-    : out_(out), include_host_(include_host) {}
-
-void JsonLinesSink::OnSim(const SimEvent& event) {
-  std::string line = "{\"type\":\"sim\",\"kind\":\"";
-  line += SimEventKindName(event.kind);
-  line += "\",\"cycle\":" + std::to_string(event.cycle);
-  line += ",\"stream\":" + std::to_string(event.stream);
-  line += ",\"core\":" + std::to_string(event.core);
-  switch (event.kind) {
-    case SimEventKind::kIssue:
-      line += ",\"pc\":" + std::to_string(event.pc);
-      line += ",\"op\":\"" + Escaped(event.name) + "\"";
-      break;
-    case SimEventKind::kQueueEnqueue:
-    case SimEventKind::kQueueDequeue:
-      line += ",\"queue_src\":" + std::to_string(event.queue_src);
-      line += ",\"queue_dst\":" + std::to_string(event.queue_dst);
-      line += std::string(",\"fp\":") + (event.queue_is_fp ? "true" : "false");
-      line += ",\"occupancy\":" + std::to_string(event.occupancy);
-      break;
-    case SimEventKind::kStallBegin:
-      line += ",\"cause\":\"" + std::string(StallCauseName(event.cause)) + "\"";
-      break;
-    case SimEventKind::kStallEnd:
-      line += ",\"cause\":\"" + std::string(StallCauseName(event.cause)) + "\"";
-      line += ",\"begin_cycle\":" + std::to_string(event.begin_cycle);
-      break;
-  }
-  line += "}\n";
-  std::lock_guard<std::mutex> lock(mu_);
-  out_ << line;
-}
-
-void JsonLinesSink::OnSpan(const SpanEvent& event) {
-  if (!include_host_) {
-    return;
-  }
-  std::string line = "{\"type\":\"span\",\"category\":\"";
-  line += Escaped(event.category);
-  line += "\",\"name\":\"";
-  line += Escaped(event.name);
-  line += "\"";
-  line += ",\"stream\":" + std::to_string(event.stream);
-  line += ",\"start_seconds\":" + std::to_string(event.start_seconds);
-  line += ",\"wall_seconds\":" + std::to_string(event.wall_seconds);
-  if (event.counters != nullptr && !event.counters->empty()) {
-    line += ",\"counters\":{";
-    bool first = true;
-    for (const auto& [key, value] : *event.counters) {
-      if (!first) {
-        line += ",";
-      }
-      first = false;
-      line += "\"";
-      line += Escaped(key);
-      line += "\":";
-      line += std::to_string(value);
-    }
-    line += "}";
-  }
-  line += "}\n";
-  std::lock_guard<std::mutex> lock(mu_);
-  out_ << line;
 }
 
 // ---------------------------------------------------------------------------
@@ -371,32 +267,6 @@ void ChromeTraceSink::WriteFile(const std::string& path) const {
 }
 
 // ---------------------------------------------------------------------------
-// RingBufferSink
-// ---------------------------------------------------------------------------
-
-RingBufferSink::RingBufferSink(std::size_t capacity) : capacity_(capacity) {
-  FGPAR_CHECK_MSG(capacity_ > 0, "ring capacity must be positive");
-}
-
-void RingBufferSink::OnSim(const SimEvent& event) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (events_.size() == capacity_) {
-    events_.pop_front();
-  }
-  events_.push_back(event);
-}
-
-std::vector<SimEvent> RingBufferSink::Events() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return std::vector<SimEvent>(events_.begin(), events_.end());
-}
-
-void RingBufferSink::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  events_.clear();
-}
-
-// ---------------------------------------------------------------------------
 // StreamSink
 // ---------------------------------------------------------------------------
 
@@ -410,26 +280,6 @@ void StreamSink::OnSpan(const SpanEvent& event) {
   SpanEvent restamped = event;
   restamped.stream = stream_;
   inner_->OnSpan(restamped);
-}
-
-// ---------------------------------------------------------------------------
-// FanoutSink
-// ---------------------------------------------------------------------------
-
-void FanoutSink::OnSim(const SimEvent& event) {
-  for (TelemetrySink* sink : sinks_) {
-    if (sink != nullptr) {
-      sink->OnSim(event);
-    }
-  }
-}
-
-void FanoutSink::OnSpan(const SpanEvent& event) {
-  for (TelemetrySink* sink : sinks_) {
-    if (sink != nullptr) {
-      sink->OnSpan(event);
-    }
-  }
 }
 
 }  // namespace fgpar::telemetry

@@ -4,8 +4,6 @@
 //  * AggregatingSink  — in-memory statistics + ordered span log; the
 //                       cheapest "is telemetry on" sink, used by tests and
 //                       by --compile-stats to rebuild its report.
-//  * JsonLinesSink    — one compact JSON object per event per line, for
-//                       ad hoc piping into jq and friends.
 //  * ChromeTraceSink  — accumulates a Chrome trace_event document viewable
 //                       at ui.perfetto.dev or chrome://tracing.  Sim
 //                       events map 1 cycle = 1 µs on per-stream "sim"
@@ -13,8 +11,6 @@
 //                       in real microseconds (dropped entirely when host
 //                       fields are suppressed, so deterministic-mode
 //                       traces are byte-stable).
-//  * RingBufferSink   — bounded ring of the last N sim events, feeding
-//                       PointFailure forensics in the sweep supervisor.
 //  * StreamSink       — stateless adapter that re-stamps the stream lane
 //                       before forwarding, so several machines (or retry
 //                       attempts) stay distinguishable in one shared sink.
@@ -22,8 +18,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
-#include <iosfwd>
 #include <map>
 #include <mutex>
 #include <string>
@@ -65,23 +59,6 @@ class AggregatingSink : public TelemetrySink {
   std::vector<SpanRecord> spans_;
 };
 
-/// Writes one compact JSON object per event to `out`.  Span lines are
-/// omitted when `include_host` is false (host wall times are not
-/// deterministic).  The stream must outlive the sink.
-class JsonLinesSink : public TelemetrySink {
- public:
-  explicit JsonLinesSink(std::ostream& out,
-                         bool include_host = !HostFieldsSuppressed());
-
-  void OnSim(const SimEvent& event) override;
-  void OnSpan(const SpanEvent& event) override;
-
- private:
-  std::mutex mu_;
-  std::ostream& out_;
-  bool include_host_;
-};
-
 /// Accumulates events and renders them as one Chrome trace_event JSON
 /// document ("fgpar-trace-v1").  Construct, run, then Render()/WriteFile().
 class ChromeTraceSink : public TelemetrySink {
@@ -104,27 +81,6 @@ class ChromeTraceSink : public TelemetrySink {
   std::vector<SpanRecord> spans_;
 };
 
-/// Keeps the most recent `capacity` sim events (spans are ignored — the
-/// ring exists to answer "what was the machine doing right before it
-/// failed").  SimEvent::name points at static opcode-name storage, so
-/// retained events stay valid after the emitting machine is gone.
-class RingBufferSink : public TelemetrySink {
- public:
-  explicit RingBufferSink(std::size_t capacity);
-
-  void OnSim(const SimEvent& event) override;
-  void OnSpan(const SpanEvent&) override {}
-
-  /// Oldest-to-newest contents.
-  std::vector<SimEvent> Events() const;
-  void Clear();
-
- private:
-  mutable std::mutex mu_;
-  std::size_t capacity_;
-  std::deque<SimEvent> events_;
-};
-
 /// Forwards every event to `inner` with the stream lane re-stamped.
 /// Stateless, so it needs no lock of its own; `inner` must outlive it.
 class StreamSink : public TelemetrySink {
@@ -138,23 +94,6 @@ class StreamSink : public TelemetrySink {
  private:
   TelemetrySink* inner_;
   int stream_;
-};
-
-/// Forwards every event to each of several sinks, in order.  Null entries
-/// are skipped.  Stateless after construction (no lock of its own; the
-/// targets serialize themselves); the targets must outlive it.  Used by
-/// the sweep supervisor to tee a point's events into both the shared
-/// trace sink and a per-point forensic ring.
-class FanoutSink : public TelemetrySink {
- public:
-  explicit FanoutSink(std::vector<TelemetrySink*> sinks)
-      : sinks_(std::move(sinks)) {}
-
-  void OnSim(const SimEvent& event) override;
-  void OnSpan(const SpanEvent& event) override;
-
- private:
-  std::vector<TelemetrySink*> sinks_;
 };
 
 }  // namespace fgpar::telemetry

@@ -6,22 +6,6 @@
 
 namespace fgpar::telemetry {
 
-std::string_view SimEventKindName(SimEventKind kind) {
-  switch (kind) {
-    case SimEventKind::kIssue:
-      return "issue";
-    case SimEventKind::kQueueEnqueue:
-      return "enqueue";
-    case SimEventKind::kQueueDequeue:
-      return "dequeue";
-    case SimEventKind::kStallBegin:
-      return "stall_begin";
-    case SimEventKind::kStallEnd:
-      return "stall_end";
-  }
-  FGPAR_UNREACHABLE("bad SimEventKind");
-}
-
 std::string_view StallCauseName(StallCause cause) {
   switch (cause) {
     case StallCause::kNone:

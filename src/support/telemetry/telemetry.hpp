@@ -28,10 +28,9 @@
 // loop, bit-identical statistics (tests/telemetry_test.cpp measures the
 // sink-off delta; bench/micro_sim records it in BENCH_sim_throughput.json).
 //
-// Sinks (sinks.hpp): AggregatingSink (stats), JsonLinesSink (one JSON
-// object per event), ChromeTraceSink (chrome://tracing / ui.perfetto.dev),
-// RingBufferSink (bounded last-N ring for failure forensics), StreamSink
-// (re-stamps the stream lane, for fanning many machines into one trace).
+// Sinks (sinks.hpp): AggregatingSink (stats), ChromeTraceSink
+// (chrome://tracing / ui.perfetto.dev), StreamSink (re-stamps the stream
+// lane, for fanning many machines into one trace).
 #pragma once
 
 #include <chrono>
@@ -66,7 +65,6 @@ enum class StallCause : std::uint8_t {
   kFrozen,
 };
 
-std::string_view SimEventKindName(SimEventKind kind);
 std::string_view StallCauseName(StallCause cause);
 
 /// One cycle-stamped simulator event.  Deterministic: produced only by the

@@ -60,15 +60,6 @@ kernel hk {
 }
 )";
 
-TEST(Runner, MeasureSequentialAgreesWithRun) {
-  KernelRunner runner(frontend::ParseKernel(kKernel), SimpleInit(40));
-  RunConfig config;
-  config.compile.num_cores = 2;
-  const std::uint64_t seq = runner.MeasureSequential(config);
-  const KernelRun run = runner.Run(config);
-  EXPECT_EQ(seq, run.seq_cycles);
-}
-
 TEST(Runner, MissingParamFailsLoudly) {
   KernelRunner runner(frontend::ParseKernel(kKernel),
                       [](std::uint64_t, const ir::Kernel&, const ir::DataLayout&,

@@ -18,6 +18,7 @@
 #include "kernels/sequoia.hpp"
 #include "native/codegen.hpp"
 #include "native/executor.hpp"
+#include "sim/config.hpp"
 #include "support/error.hpp"
 #include "support/telemetry/telemetry.hpp"
 
@@ -33,6 +34,22 @@ TEST(BackendKind, NamesRoundTripAndUnknownNamesThrow) {
             compiler::BackendKind::kNative);
   EXPECT_THROW((void)compiler::ParseBackendKind("gpu"), Error);
   EXPECT_THROW((void)compiler::ParseBackendKind(""), Error);
+}
+
+TEST(RunTier, ParsesThreeNamesAndRejectsOthers) {
+  EXPECT_EQ(sim::ParseRunTier("auto"), sim::RunTier::kAuto);
+  EXPECT_EQ(sim::ParseRunTier("slow"), sim::RunTier::kSlow);
+  EXPECT_EQ(sim::ParseRunTier("fast"), sim::RunTier::kFast);
+  for (const char* bad : {"threaded", ""}) {
+    try {
+      (void)sim::ParseRunTier(bad);
+      ADD_FAILURE() << "'" << bad << "' parsed as a run tier";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("expected auto, slow, or fast"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(NativeBackend, AllSequoiaKernelsVerifyBitExact) {

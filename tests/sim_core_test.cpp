@@ -20,16 +20,18 @@ MachineConfig OneCore() {
   return config;
 }
 
-Machine RunProgram(const MachineConfig& config, Assembler& a,
-                   RunResult* result = nullptr) {
-  Machine m(config, a.Finish());
-  m.StartCoreAtPc(0, 0);
-  RunResult r = m.Run();
-  if (result != nullptr) {
-    *result = r;
+/// A machine built from `a`'s program, with core 0 started at pc 0 and run
+/// to completion.  Built in place: a Machine can be neither copied nor
+/// moved.
+class ProgramRun : public Machine {
+ public:
+  ProgramRun(const MachineConfig& config, Assembler& a)
+      : Machine(config, a.Finish()) {
+    StartCoreAtPc(0, 0);
+    result = Run();
   }
-  return m;
-}
+  RunResult result;
+};
 
 TEST(Core, IntegerArithmetic) {
   Assembler a;
@@ -43,7 +45,7 @@ TEST(Core, IntegerArithmetic) {
   a.MinI(Gpr{8}, Gpr{1}, Gpr{2});
   a.MaxI(Gpr{9}, Gpr{1}, Gpr{2});
   a.Halt();
-  Machine m = RunProgram(OneCore(), a);
+  ProgramRun m(OneCore(), a);
   EXPECT_EQ(m.core(0).gpr(3), 17);
   EXPECT_EQ(m.core(0).gpr(4), 25);
   EXPECT_EQ(m.core(0).gpr(5), -84);
@@ -65,7 +67,7 @@ TEST(Core, BitwiseAndShifts) {
   a.LiI(Gpr{8}, -16);
   a.ShrI(Gpr{9}, Gpr{8}, Gpr{6});
   a.Halt();
-  Machine m = RunProgram(OneCore(), a);
+  ProgramRun m(OneCore(), a);
   EXPECT_EQ(m.core(0).gpr(3), 0b1000);
   EXPECT_EQ(m.core(0).gpr(4), 0b1110);
   EXPECT_EQ(m.core(0).gpr(5), 0b0110);
@@ -83,7 +85,7 @@ TEST(Core, Comparisons) {
   a.CneI(Gpr{6}, Gpr{1}, Gpr{1});
   a.CleI(Gpr{7}, Gpr{1}, Gpr{1});
   a.Halt();
-  Machine m = RunProgram(OneCore(), a);
+  ProgramRun m(OneCore(), a);
   EXPECT_EQ(m.core(0).gpr(3), 1);
   EXPECT_EQ(m.core(0).gpr(4), 0);
   EXPECT_EQ(m.core(0).gpr(5), 1);
@@ -105,7 +107,7 @@ TEST(Core, FloatingPointArithmetic) {
   a.LiF(Fpr{10}, 3.0);
   a.FmaF(Fpr{10}, Fpr{1}, Fpr{2});  // 3 + 9*2
   a.Halt();
-  Machine m = RunProgram(OneCore(), a);
+  ProgramRun m(OneCore(), a);
   EXPECT_DOUBLE_EQ(m.core(0).fpr(3), 11.0);
   EXPECT_DOUBLE_EQ(m.core(0).fpr(4), 7.0);
   EXPECT_DOUBLE_EQ(m.core(0).fpr(5), 18.0);
@@ -125,7 +127,7 @@ TEST(Core, Conversions) {
   a.LiF(Fpr{3}, -2.9);
   a.FtoI(Gpr{3}, Fpr{3});
   a.Halt();
-  Machine m = RunProgram(OneCore(), a);
+  ProgramRun m(OneCore(), a);
   EXPECT_DOUBLE_EQ(m.core(0).fpr(1), -7.0);
   EXPECT_EQ(m.core(0).gpr(2), 2);   // truncation toward zero
   EXPECT_EQ(m.core(0).gpr(3), -2);
@@ -142,7 +144,7 @@ TEST(Core, LoadsAndStores) {
   a.StFX(Fpr{1}, Gpr{1}, Gpr{4});  // mem[105] = 2.5
   a.LdFX(Fpr{2}, Gpr{1}, Gpr{4});
   a.Halt();
-  Machine m = RunProgram(OneCore(), a);
+  ProgramRun m(OneCore(), a);
   EXPECT_EQ(m.core(0).gpr(3), 42);
   EXPECT_DOUBLE_EQ(m.core(0).fpr(2), 2.5);
   EXPECT_EQ(m.memory().ReadI64(103), 42);
@@ -161,7 +163,7 @@ TEST(Core, LoopWithBranches) {
   a.SubI(Gpr{1}, Gpr{1}, Gpr{3});
   a.Bnz(Gpr{1}, top);
   a.Halt();
-  Machine m = RunProgram(OneCore(), a);
+  ProgramRun m(OneCore(), a);
   EXPECT_EQ(m.core(0).gpr(2), 55);
 }
 
@@ -175,7 +177,7 @@ TEST(Core, CallAndReturn) {
   a.Bind(fn);
   a.AddI(Gpr{1}, Gpr{1}, Gpr{1});
   a.Ret();
-  Machine m = RunProgram(OneCore(), a);
+  ProgramRun m(OneCore(), a);
   EXPECT_EQ(m.core(0).gpr(1), 4);
 }
 
@@ -188,7 +190,7 @@ TEST(Core, IndirectCallThroughRegister) {
   a.Bind(fn);
   a.LiI(Gpr{1}, 99);
   a.Ret();
-  Machine m = RunProgram(OneCore(), a);
+  ProgramRun m(OneCore(), a);
   EXPECT_EQ(m.core(0).gpr(1), 99);
 }
 
@@ -222,8 +224,7 @@ TEST(CoreTiming, DependentChainIsSlowerThanIndependentOps) {
     dep.AddF(Fpr{1}, Fpr{1}, Fpr{1});
   }
   dep.Halt();
-  RunResult dep_result;
-  RunProgram(config, dep, &dep_result);
+  const RunResult dep_result = ProgramRun(config, dep).result;
 
   // Independent adds: pipelined, ~1 per cycle.
   Assembler indep;
@@ -232,8 +233,7 @@ TEST(CoreTiming, DependentChainIsSlowerThanIndependentOps) {
     indep.AddF(Fpr{static_cast<std::uint8_t>(2 + i)}, Fpr{1}, Fpr{1});
   }
   indep.Halt();
-  RunResult indep_result;
-  RunProgram(config, indep, &indep_result);
+  const RunResult indep_result = ProgramRun(config, indep).result;
 
   EXPECT_GT(dep_result.core0_halt_cycle, indep_result.core0_halt_cycle * 3);
 }
@@ -247,8 +247,7 @@ TEST(CoreTiming, UnpipelinedDivideOccupiesIssueStage) {
   a.DivF(Fpr{3}, Fpr{1}, Fpr{2});
   a.DivF(Fpr{4}, Fpr{2}, Fpr{1});
   a.Halt();
-  RunResult r;
-  RunProgram(config, a, &r);
+  const RunResult r = ProgramRun(config, a).result;
   EXPECT_GE(r.core0_halt_cycle,
             2 * static_cast<std::uint64_t>(config.timing.fp_div));
 }
@@ -262,8 +261,8 @@ TEST(CoreTiming, CacheHitsMakeRepeatedLoadsFaster) {
     a.AddF(Fpr{3}, Fpr{2}, Fpr{2});  // consume the load each time
   }
   a.Halt();
-  RunResult r;
-  Machine m = RunProgram(config, a, &r);
+  ProgramRun m(config, a);
+  const RunResult& r = m.result;
   // One cold miss + seven L1 hits is far below eight misses.
   EXPECT_LT(r.core0_halt_cycle,
             static_cast<std::uint64_t>(8 * config.cache.mem_latency));
@@ -276,7 +275,7 @@ TEST(CoreTiming, StatsCountInstructionCategories) {
   a.LdI(Gpr{2}, Gpr{1}, 0);
   a.StI(Gpr{2}, Gpr{1}, 1);
   a.Halt();
-  Machine m = RunProgram(OneCore(), a);
+  ProgramRun m(OneCore(), a);
   EXPECT_EQ(m.core(0).stats().instructions, 4u);
   EXPECT_EQ(m.core(0).stats().loads, 1u);
   EXPECT_EQ(m.core(0).stats().stores, 1u);

@@ -19,9 +19,8 @@
 // and each core's stall statistics — to match exactly.
 //
 // The TierEquivalence tests extend the same contract to all 18 kernels and
-// all three run tiers: every kernel is swept through slow, fast, and
-// direct-threaded (RunConfig::force_tier) and all three must agree on
-// every observable.
+// all three run tiers: every kernel is swept through auto, fast, and slow
+// (RunConfig::force_tier) and all three must agree on every observable.
 // They are also registered as a standalone ctest label
 // (`ctest -L tier_equivalence`) so CI can gate on the sweep by name.
 #include <cstdio>
@@ -113,22 +112,22 @@ void ExpectRunsEqual(const harness::KernelRun& fast,
 
 /// Runs `spec` under all three run tiers with otherwise-identical config
 /// and requires every KernelRun observable to agree.  The sequential leg
-/// of the threaded run is single-core and hot, so it genuinely executes
-/// inside traces; the parallel leg exercises the machine-level
-/// multi-core delegation to the fast loop.
+/// of the auto run is single-core and hot, so it genuinely executes inside
+/// traces; its parallel leg runs the multi-core fast loop.
 void CheckKernelTierEquivalence(const kernels::SequoiaKernel& spec,
-                                kernels::ExperimentConfig config) {
+                                const kernels::ExperimentConfig& experiment) {
+  harness::RunConfig config = kernels::ToRunConfig(experiment);
   config.force_tier = sim::RunTier::kSlow;
   const harness::KernelRun slow = kernels::RunKernel(spec, config);
   config.force_tier = sim::RunTier::kFast;
   const harness::KernelRun fast = kernels::RunKernel(spec, config);
-  config.force_tier = sim::RunTier::kThreaded;
-  const harness::KernelRun threaded = kernels::RunKernel(spec, config);
+  config.force_tier = sim::RunTier::kAuto;
+  const harness::KernelRun traced = kernels::RunKernel(spec, config);
   ExpectRunsEqual(fast, slow, spec.id + std::string(" (fast vs slow)"));
-  ExpectRunsEqual(threaded, slow, spec.id + std::string(" (threaded vs slow)"));
-  // Pinned tiers must leave their marks: the threaded run translated and
-  // entered traces; the lower tiers never touched the translator.
-  EXPECT_GT(threaded.threaded_stats.trace_enters, 0u) << spec.id;
+  ExpectRunsEqual(traced, slow, spec.id + std::string(" (auto vs slow)"));
+  // Each tier must leave its mark: the auto run translated and entered
+  // traces; the pinned tiers never touched the translator.
+  EXPECT_GT(traced.threaded_stats.trace_enters, 0u) << spec.id;
   EXPECT_EQ(fast.threaded_stats.trace_enters, 0u) << spec.id;
   EXPECT_EQ(slow.threaded_stats.trace_enters, 0u) << spec.id;
 }

@@ -13,7 +13,9 @@
 // identity (different program or config), truncation, and trailing bytes
 // must all throw structured errors instead of loading garbage state.
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -81,32 +83,48 @@ isa::Program SingleCoreProgram(std::int64_t iterations) {
   return a.Finish();
 }
 
-sim::Machine MakePingPong(const sim::MachineConfig& config,
-                          const isa::Program& program) {
-  sim::Machine m(config, program);
-  m.StartCoreAt(0, "core0");
-  m.StartCoreAt(1, "core1");
-  return m;
-}
+/// A machine running PingPongProgram with both cores started.  Built in
+/// place: a Machine can be neither copied nor moved (see
+/// MachineIsNeitherCopyableNorMovable).
+class PingPongMachine : public sim::Machine {
+ public:
+  PingPongMachine(const sim::MachineConfig& config,
+                  const isa::Program& program)
+      : sim::Machine(config, program) {
+    StartCoreAt(0, "core0");
+    StartCoreAt(1, "core1");
+  }
+};
 
-/// Runs `reference` to completion, then replays the same machine build via
-/// `make` with a pause at `stop`, a snapshot, a restore into a third
+/// A single-core machine started at "main".
+class MainMachine : public sim::Machine {
+ public:
+  MainMachine(const sim::MachineConfig& config, const isa::Program& program)
+      : sim::Machine(config, program) {
+    StartCoreAt(0, "main");
+  }
+};
+
+/// Runs a MachineT built from (config, program) to completion, then builds
+/// a second one with a pause at `stop`, a snapshot, a restore into a third
 /// machine, and a continuation — and requires the final snapshots to be
 /// byte-identical.
-template <typename MakeMachine>
-void CheckPauseResumeIdentical(MakeMachine make, std::uint64_t stop) {
-  sim::Machine uninterrupted = make();
+template <typename MachineT>
+void CheckPauseResumeIdentical(const sim::MachineConfig& config,
+                               const isa::Program& program,
+                               std::uint64_t stop) {
+  MachineT uninterrupted(config, program);
   const sim::RunResult golden = uninterrupted.Run();
   const std::vector<std::uint8_t> golden_bytes = uninterrupted.Snapshot();
 
-  sim::Machine paused = make();
+  MachineT paused(config, program);
   const sim::PauseResult pause = paused.RunUntil(stop);
   ASSERT_FALSE(pause.finished) << "stop cycle " << stop
                                << " did not pause (program too short?)";
   EXPECT_GE(paused.now(), stop);
 
   const std::vector<std::uint8_t> snapshot = paused.Snapshot();
-  sim::Machine resumed = make();
+  MachineT resumed(config, program);
   resumed.Restore(snapshot);
   EXPECT_EQ(resumed.now(), paused.now());
 
@@ -128,13 +146,12 @@ TEST(Snapshot, PauseResumeBitIdenticalFastPath) {
   sim::MachineConfig config;
   config.num_cores = 2;
   config.memory_words = 1 << 12;
-  auto make = [&] { return MakePingPong(config, program); };
 
-  sim::Machine probe = make();
+  PingPongMachine probe(config, program);
   const std::uint64_t total = probe.Run().cycles;
   for (const std::uint64_t stop :
        {std::uint64_t{1}, total / 7, total / 2, total - 2}) {
-    CheckPauseResumeIdentical(make, stop);
+    CheckPauseResumeIdentical<PingPongMachine>(config, program, stop);
   }
 }
 
@@ -143,16 +160,11 @@ TEST(Snapshot, PauseResumeBitIdenticalSingleCore) {
   sim::MachineConfig config;
   config.num_cores = 1;
   config.memory_words = 1 << 12;
-  auto make = [&] {
-    sim::Machine m(config, program);
-    m.StartCoreAt(0, "main");
-    return m;
-  };
 
-  sim::Machine probe = make();
+  MainMachine probe(config, program);
   const std::uint64_t total = probe.Run().cycles;
   for (const std::uint64_t stop : {std::uint64_t{3}, total / 3, total - 1}) {
-    CheckPauseResumeIdentical(make, stop);
+    CheckPauseResumeIdentical<MainMachine>(config, program, stop);
   }
 }
 
@@ -171,12 +183,11 @@ TEST(Snapshot, PauseResumeBitIdenticalSlowPathWithFaults) {
   config.faults.payload_flip_prob = 0.01;
   config.faults.mem_fault_prob = 0.05;
   config.faults.core_freeze_prob = 0.001;
-  auto make = [&] { return MakePingPong(config, program); };
 
-  sim::Machine probe = make();
+  PingPongMachine probe(config, program);
   const std::uint64_t total = probe.Run().cycles;
   for (const std::uint64_t stop : {total / 5, total / 2, total - 3}) {
-    CheckPauseResumeIdentical(make, stop);
+    CheckPauseResumeIdentical<PingPongMachine>(config, program, stop);
   }
 }
 
@@ -186,30 +197,41 @@ TEST(Snapshot, RepeatedPausesMatchUninterruptedRun) {
   config.num_cores = 2;
   config.memory_words = 1 << 12;
 
-  sim::Machine uninterrupted = MakePingPong(config, program);
+  PingPongMachine uninterrupted(config, program);
   const sim::RunResult golden = uninterrupted.Run();
 
   // March a second machine forward 97 cycles at a time, round-tripping
-  // through snapshot bytes at every pause.
-  sim::Machine stepped = MakePingPong(config, program);
+  // through snapshot bytes into a freshly built machine at every pause.
+  std::optional<PingPongMachine> stepped;
+  stepped.emplace(config, program);
   sim::PauseResult pause;
   int pauses = 0;
   while (true) {
-    pause = stepped.RunUntil(stepped.now() + 97);
+    pause = stepped->RunUntil(stepped->now() + 97);
     if (pause.finished) {
       break;
     }
     ++pauses;
-    const std::vector<std::uint8_t> bytes = stepped.Snapshot();
-    sim::Machine reloaded = MakePingPong(config, program);
-    reloaded.Restore(bytes);
-    stepped = std::move(reloaded);
+    const std::vector<std::uint8_t> bytes = stepped->Snapshot();
+    stepped.emplace(config, program);
+    stepped->Restore(bytes);
   }
   EXPECT_GT(pauses, 5) << "test expected to pause many times";
   EXPECT_EQ(pause.result.cycles, golden.cycles);
   EXPECT_EQ(pause.result.core0_halt_cycle, golden.core0_halt_cycle);
   EXPECT_EQ(pause.result.instructions, golden.instructions);
-  EXPECT_EQ(stepped.Snapshot(), uninterrupted.Snapshot());
+  EXPECT_EQ(stepped->Snapshot(), uninterrupted.Snapshot());
+}
+
+TEST(Snapshot, MachineIsNeitherCopyableNorMovable) {
+  // Each core keeps a reference to its machine's config, and the memory
+  // system and queues keep a pointer to its fault injector.  A moved
+  // machine would leave them pointing at the old one, so state moves
+  // between machines only through Snapshot/Restore.
+  static_assert(!std::is_copy_constructible_v<sim::Machine>);
+  static_assert(!std::is_copy_assignable_v<sim::Machine>);
+  static_assert(!std::is_move_constructible_v<sim::Machine>);
+  static_assert(!std::is_move_assignable_v<sim::Machine>);
 }
 
 TEST(Snapshot, RoundTripIsByteStable) {
@@ -218,11 +240,11 @@ TEST(Snapshot, RoundTripIsByteStable) {
   config.num_cores = 2;
   config.memory_words = 1 << 12;
 
-  sim::Machine m = MakePingPong(config, program);
+  PingPongMachine m(config, program);
   ASSERT_FALSE(m.RunUntil(50).finished);
   const std::vector<std::uint8_t> bytes = m.Snapshot();
 
-  sim::Machine copy = MakePingPong(config, program);
+  PingPongMachine copy(config, program);
   copy.Restore(bytes);
   EXPECT_EQ(copy.Snapshot(), bytes);
 }
@@ -242,12 +264,12 @@ TEST(Snapshot, RejectsVersionMismatch) {
   sim::MachineConfig config;
   config.num_cores = 2;
   config.memory_words = 1 << 12;
-  sim::Machine m = MakePingPong(config, program);
+  PingPongMachine m(config, program);
   std::vector<std::uint8_t> bytes = m.Snapshot();
 
   // Layout: u64 magic length + 10 magic bytes, then the u32 version.
   bytes[18] = 99;
-  sim::Machine target = MakePingPong(config, program);
+  PingPongMachine target(config, program);
   const std::string error = RestoreErrorOf(target, bytes);
   EXPECT_NE(error.find("unsupported snapshot version 99"), std::string::npos)
       << error;
@@ -258,18 +280,18 @@ TEST(Snapshot, RejectsIdentityMismatch) {
   sim::MachineConfig config;
   config.num_cores = 2;
   config.memory_words = 1 << 12;
-  sim::Machine m = MakePingPong(config, program);
+  PingPongMachine m(config, program);
   const std::vector<std::uint8_t> bytes = m.Snapshot();
 
   sim::MachineConfig other = config;
   other.queue.capacity = 4;  // a different machine, same core count
-  sim::Machine target = MakePingPong(other, program);
+  PingPongMachine target(other, program);
   const std::string error = RestoreErrorOf(target, bytes);
   EXPECT_NE(error.find("snapshot identity mismatch"), std::string::npos)
       << error;
 
   const isa::Program other_program = PingPongProgram(51);
-  sim::Machine target2 = MakePingPong(config, other_program);
+  PingPongMachine target2(config, other_program);
   const std::string error2 = RestoreErrorOf(target2, bytes);
   EXPECT_NE(error2.find("snapshot identity mismatch"), std::string::npos)
       << error2;
@@ -280,10 +302,10 @@ TEST(Snapshot, RejectsCorruptStreams) {
   sim::MachineConfig config;
   config.num_cores = 2;
   config.memory_words = 1 << 12;
-  sim::Machine m = MakePingPong(config, program);
+  PingPongMachine m(config, program);
   const std::vector<std::uint8_t> bytes = m.Snapshot();
 
-  sim::Machine target = MakePingPong(config, program);
+  PingPongMachine target(config, program);
 
   // Not a snapshot at all.
   EXPECT_NE(RestoreErrorOf(target, {1, 2, 3}).find("truncated byte stream"),
@@ -307,13 +329,13 @@ TEST(Snapshot, IdentityHashIsStableAndDiscriminating) {
   sim::MachineConfig config;
   config.num_cores = 2;
   config.memory_words = 1 << 12;
-  sim::Machine a = MakePingPong(config, program);
-  sim::Machine b = MakePingPong(config, program);
+  PingPongMachine a(config, program);
+  PingPongMachine b(config, program);
   EXPECT_EQ(a.IdentityHash(), b.IdentityHash());
 
   sim::MachineConfig other = config;
   other.timing.fp_mul = 7;
-  sim::Machine c = MakePingPong(other, program);
+  PingPongMachine c(other, program);
   EXPECT_NE(a.IdentityHash(), c.IdentityHash());
 }
 

@@ -1,13 +1,13 @@
-// Direct-threaded trace tier tests (sim/threaded.hpp).
+// Direct-threaded trace tests (sim/threaded.hpp).
 //
-// The contract under test: the threaded tier is an invisible accelerator.
-// Every observable — final cycle count, per-core statistics, memory,
-// snapshot bytes, error messages, pause/resume behaviour — must be
-// bit-identical to the fast and slow tiers; only the sim.threaded.*
-// counters (and host wall time) may differ.  These tests lock the deopt
-// boundaries one by one: memory ops, multi-core machines, telemetry
-// sinks, fault injection, pause horizons, and divide traps must each
-// hand control back to the reference loops without divergence.
+// The contract under test: traces, which the auto tier runs on single-core
+// machines, are an invisible accelerator.  Every observable — final cycle
+// count, per-core statistics, memory, snapshot bytes, error messages,
+// pause/resume behaviour — must be bit-identical to the fast and slow
+// tiers; only the sim.threaded.* counters (and host wall time) may differ.
+// These tests lock the deopt boundaries one by one: memory ops, telemetry
+// sinks, fault injection, pause horizons, and divide traps must each hand
+// control back to the reference loops without divergence.
 //
 // Snapshots deliberately exclude force_tier from the identity hash, so a
 // snapshot taken under one tier restores under another — which also lets
@@ -28,7 +28,7 @@ namespace {
 
 using namespace fgpar;
 
-/// Pure-ALU hot loop: fully traceable, so the threaded tier runs it
+/// Pure-ALU hot loop: fully traceable, so the auto tier runs it
 /// almost entirely inside one trace.
 isa::Program HotAluLoop(std::int64_t iterations) {
   isa::Assembler a;
@@ -73,35 +73,6 @@ isa::Program HotMemoryLoop(std::int64_t iterations) {
   return a.Finish();
 }
 
-/// Two cores bouncing values through queues (threaded tier must delegate
-/// the whole machine to the fast loop).
-isa::Program PingPong(std::int64_t rounds) {
-  isa::Assembler a;
-  isa::Label core0 = a.NewNamedLabel("core0");
-  isa::Label core1 = a.NewNamedLabel("core1");
-  a.Bind(core0);
-  a.LiI(isa::Gpr{1}, rounds);
-  a.LiI(isa::Gpr{2}, 1);
-  isa::Label top0 = a.NewLabel();
-  a.Bind(top0);
-  a.EnqI(1, isa::Gpr{1});
-  a.DeqI(1, isa::Gpr{3});
-  a.SubI(isa::Gpr{1}, isa::Gpr{1}, isa::Gpr{2});
-  a.Bnz(isa::Gpr{1}, top0);
-  a.Halt();
-  a.Bind(core1);
-  a.LiI(isa::Gpr{1}, rounds);
-  a.LiI(isa::Gpr{2}, 1);
-  isa::Label top1 = a.NewLabel();
-  a.Bind(top1);
-  a.DeqI(0, isa::Gpr{3});
-  a.EnqI(0, isa::Gpr{3});
-  a.SubI(isa::Gpr{1}, isa::Gpr{1}, isa::Gpr{2});
-  a.Bnz(isa::Gpr{1}, top1);
-  a.Halt();
-  return a.Finish();
-}
-
 sim::MachineConfig SingleCore(sim::RunTier tier) {
   sim::MachineConfig config;
   config.num_cores = 1;
@@ -110,20 +81,24 @@ sim::MachineConfig SingleCore(sim::RunTier tier) {
   return config;
 }
 
-sim::Machine MakeSingle(const isa::Program& program, sim::RunTier tier) {
-  sim::Machine m(SingleCore(tier), program);
-  m.StartCoreAt(0, "main");
-  return m;
-}
+/// A single-core machine pinned to `tier` with core 0 started at "main".
+/// Built in place: a Machine can be neither copied nor moved.
+class SingleMachine : public sim::Machine {
+ public:
+  SingleMachine(const isa::Program& program, sim::RunTier tier)
+      : sim::Machine(SingleCore(tier), program) {
+    StartCoreAt(0, "main");
+  }
+};
 
 /// Runs `program` single-core under each tier and requires bit-identical
 /// results and final snapshots (force_tier is excluded from the snapshot
 /// identity hash precisely so this comparison is legal).
 void CheckTierEquivalence(const isa::Program& program) {
-  sim::Machine threaded = MakeSingle(program, sim::RunTier::kThreaded);
-  sim::Machine fast = MakeSingle(program, sim::RunTier::kFast);
-  sim::Machine slow = MakeSingle(program, sim::RunTier::kSlow);
-  const sim::RunResult rt = threaded.Run();
+  SingleMachine traced(program, sim::RunTier::kAuto);
+  SingleMachine fast(program, sim::RunTier::kFast);
+  SingleMachine slow(program, sim::RunTier::kSlow);
+  const sim::RunResult rt = traced.Run();
   const sim::RunResult rf = fast.Run();
   const sim::RunResult rs = slow.Run();
   EXPECT_EQ(rt.cycles, rf.cycles);
@@ -132,7 +107,7 @@ void CheckTierEquivalence(const isa::Program& program) {
   EXPECT_EQ(rf.cycles, rs.cycles);
   EXPECT_EQ(rf.core0_halt_cycle, rs.core0_halt_cycle);
   EXPECT_EQ(rf.instructions, rs.instructions);
-  EXPECT_EQ(threaded.Snapshot(), fast.Snapshot());
+  EXPECT_EQ(traced.Snapshot(), fast.Snapshot());
   EXPECT_EQ(fast.Snapshot(), slow.Snapshot());
 }
 
@@ -141,10 +116,10 @@ TEST(SimThreaded, HotAluLoopMatchesFastAndSlow) {
 }
 
 TEST(SimThreaded, HotLoopActuallyRunsInTraces) {
-  sim::Machine m = MakeSingle(HotAluLoop(500), sim::RunTier::kThreaded);
+  SingleMachine m(HotAluLoop(500), sim::RunTier::kAuto);
   const sim::RunResult result = m.Run();
   const sim::ThreadedStats& ts = m.threaded_stats();
-  EXPECT_EQ(m.resolved_tier(), sim::RunTier::kThreaded);
+  EXPECT_EQ(m.resolved_tier(), sim::RunTier::kAuto);
   EXPECT_GT(ts.blocks_translated, 0u);
   EXPECT_GT(ts.trace_enters, 0u);
   // The loop body dominates the run, so the overwhelming majority of
@@ -154,7 +129,7 @@ TEST(SimThreaded, HotLoopActuallyRunsInTraces) {
 
 TEST(SimThreaded, MemoryOpsDeoptAndMatchOtherTiers) {
   CheckTierEquivalence(HotMemoryLoop(400));
-  sim::Machine m = MakeSingle(HotMemoryLoop(400), sim::RunTier::kThreaded);
+  SingleMachine m(HotMemoryLoop(400), sim::RunTier::kAuto);
   m.Run();
   const sim::ThreadedStats& ts = m.threaded_stats();
   EXPECT_GT(ts.trace_enters, 0u);
@@ -164,52 +139,29 @@ TEST(SimThreaded, MemoryOpsDeoptAndMatchOtherTiers) {
 TEST(SimThreaded, ColdCodeIsNeverTranslated) {
   // Trip count below kHotThreshold: no branch target ever gets hot.
   const std::int64_t trips = sim::ThreadedCache::kHotThreshold / 2;
-  sim::Machine m = MakeSingle(HotAluLoop(trips), sim::RunTier::kThreaded);
+  SingleMachine m(HotAluLoop(trips), sim::RunTier::kAuto);
   m.Run();
   EXPECT_EQ(m.threaded_stats().blocks_translated, 0u);
   EXPECT_EQ(m.threaded_stats().trace_enters, 0u);
 }
 
-TEST(SimThreaded, MultiCoreDelegatesWholesaleToFast) {
-  sim::MachineConfig config;
-  config.num_cores = 2;
-  config.memory_words = 1 << 12;
-  config.force_tier = sim::RunTier::kThreaded;
-  sim::Machine threaded(config, PingPong(64));
-  threaded.StartCoreAt(0, "core0");
-  threaded.StartCoreAt(1, "core1");
-  const sim::RunResult rt = threaded.Run();
-
-  config.force_tier = sim::RunTier::kFast;
-  sim::Machine fast(config, PingPong(64));
-  fast.StartCoreAt(0, "core0");
-  fast.StartCoreAt(1, "core1");
-  const sim::RunResult rf = fast.Run();
-
-  EXPECT_EQ(rt.cycles, rf.cycles);
-  EXPECT_EQ(rt.instructions, rf.instructions);
-  EXPECT_EQ(threaded.Snapshot(), fast.Snapshot());
-  EXPECT_GT(threaded.threaded_stats().deopt_multi_core, 0u);
-  EXPECT_EQ(threaded.threaded_stats().trace_enters, 0u);
-}
-
 TEST(SimThreaded, PauseResumeMidHotLoopIsIdentical) {
   const isa::Program program = HotAluLoop(500);
-  sim::Machine uninterrupted = MakeSingle(program, sim::RunTier::kThreaded);
+  SingleMachine uninterrupted(program, sim::RunTier::kAuto);
   const sim::RunResult golden = uninterrupted.Run();
   const std::vector<std::uint8_t> golden_bytes = uninterrupted.Snapshot();
 
   // Pause deep inside the hot loop — mid-trace from the user's viewpoint.
-  sim::Machine paused = MakeSingle(program, sim::RunTier::kThreaded);
+  SingleMachine paused(program, sim::RunTier::kAuto);
   const sim::PauseResult pause = paused.RunUntil(golden.cycles / 2);
   ASSERT_FALSE(pause.finished);
 
   // Restoring drops the trace cache (derived state); the resumed machine
   // re-translates lazily and still finishes bit-identically.
-  sim::Machine resumed = MakeSingle(program, sim::RunTier::kThreaded);
+  SingleMachine resumed(program, sim::RunTier::kAuto);
   resumed.Restore(paused.Snapshot());
   EXPECT_EQ(resumed.threaded_stats().trace_enters, 0u)
-      << "Restore must reset derived threaded-tier state";
+      << "Restore must reset derived trace state";
   const sim::RunResult result = resumed.Run();
   EXPECT_EQ(result.cycles, golden.cycles);
   EXPECT_EQ(result.core0_halt_cycle, golden.core0_halt_cycle);
@@ -218,18 +170,18 @@ TEST(SimThreaded, PauseResumeMidHotLoopIsIdentical) {
 }
 
 TEST(SimThreaded, SnapshotRestoresAcrossTiers) {
-  // A snapshot taken under the threaded tier restores into a fast-tier
+  // A snapshot taken under the auto tier restores into a fast-tier
   // machine (and vice versa): force_tier is not part of machine identity.
   const isa::Program program = HotAluLoop(500);
-  sim::Machine threaded = MakeSingle(program, sim::RunTier::kThreaded);
-  const sim::PauseResult pause = threaded.RunUntil(200);
+  SingleMachine traced(program, sim::RunTier::kAuto);
+  const sim::PauseResult pause = traced.RunUntil(200);
   ASSERT_FALSE(pause.finished);
 
-  sim::Machine fast = MakeSingle(program, sim::RunTier::kFast);
-  fast.Restore(threaded.Snapshot());
+  SingleMachine fast(program, sim::RunTier::kFast);
+  fast.Restore(traced.Snapshot());
   const sim::RunResult cross = fast.Run();
 
-  sim::Machine reference = MakeSingle(program, sim::RunTier::kFast);
+  SingleMachine reference(program, sim::RunTier::kFast);
   const sim::RunResult golden = reference.Run();
   EXPECT_EQ(cross.cycles, golden.cycles);
   EXPECT_EQ(cross.instructions, golden.instructions);
@@ -239,7 +191,7 @@ TEST(SimThreaded, SnapshotRestoresAcrossTiers) {
 TEST(SimThreaded, TelemetrySinkForcesTheReferenceLoop) {
   // A sim-event sink demands per-issue instrumentation, which only the
   // slow loop carries; the tier request must lose to the hook.
-  sim::Machine m = MakeSingle(HotAluLoop(100), sim::RunTier::kThreaded);
+  SingleMachine m(HotAluLoop(100), sim::RunTier::kAuto);
   telemetry::AggregatingSink sink;
   m.SetTelemetry(&sink);
   EXPECT_EQ(m.resolved_tier(), sim::RunTier::kSlow);
@@ -247,15 +199,15 @@ TEST(SimThreaded, TelemetrySinkForcesTheReferenceLoop) {
   EXPECT_EQ(m.threaded_stats().trace_enters, 0u);
   EXPECT_EQ(sink.SimCount(telemetry::SimEventKind::kIssue), traced.instructions);
 
-  // And the traced run's numbers still match the threaded run's.
-  sim::Machine untraced = MakeSingle(HotAluLoop(100), sim::RunTier::kThreaded);
+  // And the instrumented run's numbers still match the auto run's.
+  SingleMachine untraced(HotAluLoop(100), sim::RunTier::kAuto);
   const sim::RunResult plain = untraced.Run();
   EXPECT_EQ(traced.cycles, plain.cycles);
   EXPECT_EQ(traced.instructions, plain.instructions);
 }
 
 TEST(SimThreaded, FaultInjectionForcesTheReferenceLoop) {
-  sim::MachineConfig config = SingleCore(sim::RunTier::kThreaded);
+  sim::MachineConfig config = SingleCore(sim::RunTier::kAuto);
   config.faults.seed = 11;
   config.faults.core_freeze_prob = 0.05;
   config.faults.core_freeze_cycles = 7;
@@ -296,7 +248,7 @@ TEST(SimThreaded, DivideTrapInsideTraceMatchesReferenceError) {
   const isa::Program program = a.Finish();
 
   const auto error_of = [&](sim::RunTier tier) -> std::string {
-    sim::Machine m = MakeSingle(program, tier);
+    SingleMachine m(program, tier);
     try {
       m.Run();
     } catch (const Error& e) {
@@ -304,63 +256,11 @@ TEST(SimThreaded, DivideTrapInsideTraceMatchesReferenceError) {
     }
     return "";
   };
-  const std::string threaded = error_of(sim::RunTier::kThreaded);
+  const std::string traced = error_of(sim::RunTier::kAuto);
   const std::string slow = error_of(sim::RunTier::kSlow);
-  ASSERT_NE(threaded, "") << "divide by zero must throw under the threaded tier";
-  EXPECT_EQ(threaded, slow);
-  EXPECT_NE(threaded.find("divide by zero"), std::string::npos);
-}
-
-TEST(SimThreaded, TierResolutionIsCachedAndInvalidatedBySinkChanges) {
-  sim::Machine m = MakeSingle(HotAluLoop(2000), sim::RunTier::kAuto);
-  EXPECT_EQ(m.tier_resolve_count(), 0);
-  sim::PauseResult pause = m.RunUntil(100);
-  ASSERT_FALSE(pause.finished);
-  EXPECT_EQ(m.tier_resolve_count(), 1);
-  pause = m.RunUntil(200);
-  ASSERT_FALSE(pause.finished);
-  EXPECT_EQ(m.tier_resolve_count(), 1)
-      << "repeated runs must not re-derive eligibility";
-
-  // Installing a sink invalidates the cache; the next run re-resolves to
-  // the reference loop (and only once).
-  telemetry::AggregatingSink sink;
-  m.SetTelemetry(&sink);
-  pause = m.RunUntil(300);
-  ASSERT_FALSE(pause.finished);
-  EXPECT_EQ(m.tier_resolve_count(), 2);
-  EXPECT_EQ(m.resolved_tier(), sim::RunTier::kSlow);
-
-  // Removing it re-resolves back to the threaded tier.
-  m.SetTelemetry(nullptr);
-  m.Run();
-  EXPECT_EQ(m.tier_resolve_count(), 3);
-  EXPECT_EQ(m.resolved_tier(), sim::RunTier::kThreaded);
-}
-
-TEST(SimThreaded, TranslateSpansReachTheHostSinkWithoutForcingSlow) {
-  sim::Machine m = MakeSingle(HotAluLoop(500), sim::RunTier::kAuto);
-  telemetry::AggregatingSink host;
-  m.SetHostTelemetry(&host);
-  // The host-span channel must not affect tier eligibility.
-  EXPECT_EQ(m.resolved_tier(), sim::RunTier::kThreaded);
-  m.Run();
-  ASSERT_GT(m.threaded_stats().blocks_translated, 0u);
-
-  const std::vector<telemetry::SpanRecord> spans = host.SpansInCategory("sim");
-  ASSERT_FALSE(spans.empty()) << "each translated block must emit a span";
-  std::uint64_t translate_spans = 0;
-  for (const telemetry::SpanRecord& span : spans) {
-    if (span.name != "translate") {
-      continue;
-    }
-    ++translate_spans;
-    EXPECT_TRUE(span.counters.count("pc"));
-    EXPECT_TRUE(span.counters.count("ops_walked"));
-    EXPECT_TRUE(span.counters.count("traces"));
-    EXPECT_TRUE(span.counters.count("trace_ops"));
-  }
-  EXPECT_EQ(translate_spans, m.threaded_stats().blocks_translated);
+  ASSERT_NE(traced, "") << "divide by zero must throw under the auto tier";
+  EXPECT_EQ(traced, slow);
+  EXPECT_NE(traced.find("divide by zero"), std::string::npos);
 }
 
 }  // namespace

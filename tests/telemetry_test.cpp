@@ -10,12 +10,11 @@
 //    visibility);
 //  * span semantics (RAII completion, emission on unwinding, Note
 //    counters);
-//  * the concrete sinks: aggregation, ring buffering, stream re-stamping,
-//    fan-out, and deterministic Chrome-trace rendering;
-//  * the sweep supervisor's failure forensics ring.
+//  * the concrete sinks: aggregation, stream re-stamping, and
+//    deterministic Chrome-trace rendering;
+//  * the sweep supervisor's attempt spans.
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -153,19 +152,6 @@ SimEvent IssueAt(std::uint64_t cycle, int core, std::int64_t pc) {
   return event;
 }
 
-TEST(RingBufferSinkTest, KeepsOnlyTheLastN) {
-  RingBufferSink ring(3);
-  for (int i = 0; i < 10; ++i) {
-    ring.OnSim(IssueAt(static_cast<std::uint64_t>(i), 0, i));
-  }
-  const std::vector<SimEvent> events = ring.Events();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events.front().cycle, 7u);
-  EXPECT_EQ(events.back().cycle, 9u);
-  ring.Clear();
-  EXPECT_TRUE(ring.Events().empty());
-}
-
 TEST(StreamSinkTest, RestampsTheStreamLane) {
   AggregatingSink inner;
   StreamSink lane(&inner, 5);
@@ -178,30 +164,6 @@ TEST(StreamSinkTest, RestampsTheStreamLane) {
   event.stream = 99;
   lane.OnSim(event);
   EXPECT_EQ(inner.SimCount(SimEventKind::kIssue), 1u);
-}
-
-TEST(FanoutSinkTest, TeesToEveryTarget) {
-  AggregatingSink a;
-  RingBufferSink ring(8);
-  FanoutSink fanout({&a, nullptr, &ring});
-  fanout.OnSim(IssueAt(1, 0, 0));
-  fanout.OnSim(IssueAt(2, 0, 1));
-  EXPECT_EQ(a.SimCount(SimEventKind::kIssue), 2u);
-  EXPECT_EQ(ring.Events().size(), 2u);
-}
-
-TEST(JsonLinesSinkTest, OneObjectPerLine) {
-  std::ostringstream out;
-  JsonLinesSink sink(out, /*include_host=*/false);
-  sink.OnSim(IssueAt(4, 1, 2));
-  SpanEvent span;
-  span.category = "phase";
-  span.name = "dropped";
-  sink.OnSpan(span);  // host line suppressed
-  const std::string text = out.str();
-  EXPECT_NE(text.find("\"type\":\"sim\""), std::string::npos);
-  EXPECT_NE(text.find("\"kind\":\"issue\""), std::string::npos);
-  EXPECT_EQ(text.find("dropped"), std::string::npos);
 }
 
 TEST(ChromeTraceSinkTest, RenderIsDeterministicForSimEvents) {
@@ -233,30 +195,7 @@ TEST(ChromeTraceSinkTest, HostSpansDroppedWhenSuppressed) {
   EXPECT_EQ(sink.Render().find("hidden"), std::string::npos);
 }
 
-// ---- supervisor failure forensics ------------------------------------------
-
-TEST(SupervisorTelemetry, QuarantinedPointCarriesItsLastEvents) {
-  harness::SupervisorConfig config;
-  config.name = "forensics";
-  config.labels = {"only-point"};
-  config.sweep_threads = 1;
-  config.failure_ring_capacity = 4;
-  harness::SweepSupervisor supervisor(config);
-  const harness::SweepOutcome outcome =
-      supervisor.Run([](const harness::PointContext& ctx) -> std::string {
-        // The body routes its machine events through ctx.telemetry; here
-        // we stand in for the machine and emit a recognizable tail.
-        for (int i = 0; i < 10; ++i) {
-          ctx.telemetry->OnSim(IssueAt(static_cast<std::uint64_t>(i), 0, i));
-        }
-        throw Error("synthetic failure");
-      });
-  ASSERT_EQ(outcome.failures.size(), 1u);
-  const harness::PointFailure& failure = outcome.failures[0];
-  ASSERT_EQ(failure.last_events.size(), 4u);
-  EXPECT_EQ(failure.last_events.front().cycle, 6u);
-  EXPECT_EQ(failure.last_events.back().cycle, 9u);
-}
+// ---- supervisor attempt spans ----------------------------------------------
 
 TEST(SupervisorTelemetry, AttemptSpansLandOnPointAndRetryCategories) {
   AggregatingSink sink;

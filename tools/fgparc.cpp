@@ -26,7 +26,7 @@
 //   --smt N            hardware threads per physical core (default 1)
 //   --trip N           value for every i64 parameter (default 400)
 //   --seed N           workload RNG seed (default 0x5EED)
-//   --tier T           simulator run tier: auto|slow|fast|threaded
+//   --tier T           simulator run tier: auto|slow|fast
 //                      (default auto; results are bit-identical per tier)
 //   --backend B        execution backend: sim|native (default sim).  native
 //                      additionally runs the kernel for real on host
