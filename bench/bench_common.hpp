@@ -47,12 +47,6 @@ inline long long FlagInt(int argc, char** argv, std::string_view flag,
   return text.empty() ? fallback : std::stoll(text);
 }
 
-inline double FlagDouble(int argc, char** argv, std::string_view flag,
-                         double fallback) {
-  const std::string text = FlagValue(argc, argv, flag);
-  return text.empty() ? fallback : std::stod(text);
-}
-
 /// One kernel pipeline execution plus its host wall-clock cost.
 struct TimedRun {
   harness::KernelRun run;

@@ -16,15 +16,15 @@
 //   --smoke              3-kernel subset for CI
 //   --checkpoint <path>  journal completed points ("fgpar-ckpt-v1")
 //   --resume             skip points already in the checkpoint journal
-//   --deadline <s>       per-point host wall-clock budget
-//   --cycle-budget <n>   per-point simulated-cycle budget
-//   --max-retries <n>    supervisor retries per failed point
+//   --cycle-budget <n>   per-point simulated-cycle budget (RunConfig::
+//                        max_cycles); a point that overruns it is
+//                        quarantined
 //   --failure-budget <n> quarantined failures tolerated before exit 1
 //   --fault-point <i>    injects an unrecoverable fault at grid point i
 //                        (resilience drills; quarantines that point)
 //   --repro-dir <dir>    emit a repro bundle per quarantined point
 //   --trace <path>       write a Chrome trace_event capture of the whole
-//                        sweep (per-point "point"/"retry" host spans plus
+//                        sweep (per-point "point" host spans plus
 //                        each measured run's sim events, one stream lane
 //                        per grid point) to <path>; open it at
 //                        ui.perfetto.dev or chrome://tracing
@@ -119,6 +119,8 @@ int main(int argc, char** argv) {
       benchutil::FlagValue(argc, argv, "--repro-dir");
   const std::size_t failure_budget = static_cast<std::size_t>(
       benchutil::FlagInt(argc, argv, "--failure-budget", 0));
+  const std::uint64_t cycle_budget = static_cast<std::uint64_t>(
+      benchutil::FlagInt(argc, argv, "--cycle-budget", 0));
 
   harness::SupervisorConfig supervision;
   supervision.name = grid.name;
@@ -126,16 +128,6 @@ int main(int argc, char** argv) {
   supervision.checkpoint_path =
       benchutil::FlagValue(argc, argv, "--checkpoint");
   supervision.resume = benchutil::HasFlag(argc, argv, "--resume");
-  supervision.point_deadline_seconds =
-      benchutil::FlagDouble(argc, argv, "--deadline", 0.0);
-  supervision.point_cycle_budget = static_cast<std::uint64_t>(
-      benchutil::FlagInt(argc, argv, "--cycle-budget", 0));
-  supervision.max_retries =
-      static_cast<int>(benchutil::FlagInt(argc, argv, "--max-retries", 0));
-  supervision.failure_budget = failure_budget;
-  // SIGTERM drains: in-flight points finish and are journaled, the rest
-  // are left for --resume, and the process exits 0 (see below).
-  supervision.drain_on_sigterm = true;
 
   // --trace routes the whole sweep through one shared Chrome-trace sink
   // (the supervisor re-stamps each point onto its own stream lane).
@@ -151,13 +143,12 @@ int main(int argc, char** argv) {
   std::vector<double> wall(grid_size, 0.0);
   std::vector<std::vector<std::uint8_t>> snapshots(grid_size);
 
-  const auto config_for = [&](const harness::PointContext& ctx) {
+  const auto config_for = [&](std::size_t index) {
     kernels::ExperimentConfig experiment;
-    experiment.cores = grid.CoresAt(ctx.index);
+    experiment.cores = grid.CoresAt(index);
     harness::RunConfig config = kernels::ToRunConfig(experiment);
-    config.seed = ctx.seed;
-    config.max_cycles = ctx.cycle_budget;
-    if (fault_point >= 0 && ctx.index == static_cast<std::size_t>(fault_point)) {
+    config.max_cycles = cycle_budget;
+    if (fault_point >= 0 && index == static_cast<std::size_t>(fault_point)) {
       // An unrecoverable injected failure: every payload in transit is
       // flipped, so verification can never pass; no sequential fallback,
       // so the point fails hard and gets quarantined.
@@ -170,7 +161,7 @@ int main(int argc, char** argv) {
   };
 
   const auto body = [&](const harness::PointContext& ctx) {
-    harness::RunConfig config = config_for(ctx);
+    harness::RunConfig config = config_for(ctx.index);
     config.telemetry = ctx.telemetry;
     config.on_parallel_failure = [&](const sim::Machine& machine, const Error&,
                                      int) {
@@ -194,14 +185,12 @@ int main(int argc, char** argv) {
     bundle.experiment = "fig12";
     bundle.label = failure.label;
     bundle.point_index = failure.index;
-    bundle.attempt = ctx.attempt;
     bundle.kernel_id = kernel.id;
     bundle.kernel_source = kernel.source;
     bundle.trip = kernel.trip;
     bundle.f64_params = kernel.f64_params;
-    bundle.config = config_for(ctx);
+    bundle.config = config_for(ctx.index);
     bundle.failure_message = failure.message;
-    bundle.failure_attempts = failure.attempts;
     bundle.snapshot = snapshots[ctx.index];
     const std::string name = "repro_fig12_point" + std::to_string(ctx.index);
     harness::WriteReproBundle(repro_dir, name, bundle);
@@ -214,21 +203,9 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "resumed %zu completed points from %s\n",
                  outcome.resumed_points, supervision.checkpoint_path.c_str());
   }
-  if (outcome.stopped) {
-    // Graceful SIGTERM drain: the partial grid would render a misleading
-    // table/artifact, so report the drain and exit cleanly instead; a
-    // --resume run recomputes exactly the skipped points.
-    std::fprintf(stderr,
-                 "SIGTERM: drained cleanly, %zu points skipped; rerun with "
-                 "--resume to complete the sweep\n",
-                 outcome.skipped_points);
-    return 0;
-  }
-
   for (const harness::PointFailure& failure : outcome.failures) {
-    std::fprintf(stderr, "quarantined point %zu (%s) after %d attempts: %s\n",
-                 failure.index, failure.label.c_str(), failure.attempts,
-                 failure.message.c_str());
+    std::fprintf(stderr, "quarantined point %zu (%s): %s\n", failure.index,
+                 failure.label.c_str(), failure.message.c_str());
   }
 
   // Decode the journal payloads back into KernelRuns; quarantined points

@@ -170,10 +170,6 @@ struct PipelineInstrumentation {
   /// are host measurements and must never enter the deterministic portion
   /// of a bench artifact.
   telemetry::TelemetrySink* telemetry = nullptr;
-  /// Run ir::CheckValid after every IR-mutating pass.  On by default (and
-  /// in every production compile); off only for experiments that want the
-  /// pre-pass-manager behaviour of validating once at the end.
-  bool verify_each_pass = true;
 };
 
 // ---- pass factories (each defined next to the code it wraps) ----

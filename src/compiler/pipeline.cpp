@@ -105,7 +105,7 @@ void PassManager::Run(CompileState& state,
     // The manager, not the next pass, is what catches a broken rewrite:
     // every IR-mutating pass is followed by the full kernel validator, and
     // failures are attributed to the pass that produced the invalid IR.
-    if (instr.verify_each_pass && pass->mutates_ir()) {
+    if (pass->mutates_ir()) {
       try {
         ir::CheckValid(state.kernel());
       } catch (const Error& e) {

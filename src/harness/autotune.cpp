@@ -100,7 +100,6 @@ TuneResult AutotuneKernel(const ir::Kernel& kernel, const WorkloadInit& init,
   KernelRunner runner(kernel, init);
   RunConfig base;
   base.seed = options.seed;
-  base.verify = options.verify;
   base.collect_profile = true;
   base.tune_by_simulation = false;  // static selection, same as the predictor
 
@@ -163,18 +162,10 @@ TuneResult AutotuneKernel(const ir::Kernel& kernel, const WorkloadInit& init,
         TunePointLabel(result.candidates[index].point));
   }
   supervisor_config.sweep_threads = options.sweep_threads;
-  supervisor_config.base_seed = options.seed;
-  supervisor_config.max_retries = options.max_retries;
-  supervisor_config.point_deadline_seconds = options.point_deadline_seconds;
-  supervisor_config.failure_budget = frontier.size();  // caller judges
-  supervisor_config.checkpoint_path = options.checkpoint_path;
-  supervisor_config.resume = !options.checkpoint_path.empty();
   SweepSupervisor supervisor(supervisor_config);
   const SweepOutcome outcome = supervisor.Run([&](const PointContext& ctx) {
-    RunConfig config = ApplyTunePoint(base, points[frontier[ctx.index]]);
-    config.seed = ctx.seed;
-    config.max_cycles = ctx.cycle_budget;
-    return EncodeKernelRun(runner.Run(config));
+    return EncodeKernelRun(
+        runner.Run(ApplyTunePoint(base, points[frontier[ctx.index]])));
   });
   for (std::size_t local = 0; local < frontier.size(); ++local) {
     TuneCandidate& candidate = result.candidates[frontier[local]];

@@ -13,8 +13,8 @@
 //
 // Everything is deterministic: the enumeration order is fixed, predictor
 // scores are pure functions of the kernel + profile, ranking ties break
-// toward the lower enumeration index, and the frontier simulations run
-// under the supervisor with the standard deterministic seeding.  Results
+// toward the lower enumeration index, and every frontier simulation runs
+// under the supervisor on the same seeded workload as the predictions.  Results
 // are serialized as `fgpar-tune-v1` artifacts so tuned configs are
 // addressable by tools (fgparc --autotune / --apply-tune).
 #pragma once
@@ -80,12 +80,8 @@ struct TuneOptions {
   double frontier_fraction = 0.25;
   /// The baseline config: always simulated, never beaten by a slower pick.
   TunePoint default_point;
-  std::uint64_t seed = 0x5EED;
+  std::uint64_t seed = 0x5EED;  // workload seed for every predict and run
   int sweep_threads = 0;  // frontier simulation fan-out (<=0: resolve)
-  bool verify = true;
-  int max_retries = 0;                  // supervisor retries per frontier point
-  double point_deadline_seconds = 0.0;  // 0 = unlimited
-  std::string checkpoint_path;          // supervisor journal ("" = none)
 };
 
 struct TuneResult {

@@ -73,10 +73,6 @@ std::string BenchArtifact::ToJson(bool include_host) const {
     w.BeginArray();
     for (const Failure& failure : failures) {
       w.BeginObject();
-      w.Key("attempts");
-      w.UInt(failure.attempts);
-      w.Key("deadline_exceeded");
-      w.Bool(failure.deadline_exceeded);
       w.Key("index");
       w.UInt(failure.index);
       w.Key("label");
@@ -85,8 +81,6 @@ std::string BenchArtifact::ToJson(bool include_host) const {
       w.String(failure.message);
       w.Key("repro_bundle");
       w.String(failure.repro_bundle);
-      w.Key("seed");
-      w.UInt(failure.seed);
       w.EndObject();
     }
     w.EndArray();

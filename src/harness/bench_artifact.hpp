@@ -52,8 +52,8 @@ struct BenchArtifact {
     std::map<std::string, double> host;
   };
 
-  /// A quarantined grid point (see harness/supervisor.hpp): the point ran
-  /// out of retries and is recorded instead of aborting the sweep.  The
+  /// A quarantined grid point (see harness/supervisor.hpp): the point
+  /// failed and is recorded instead of aborting the sweep.  The
   /// "failures" section is rendered only when non-empty, so clean-run
   /// artifacts are byte-identical to the pre-supervisor format.  All
   /// fields are deterministic (the bundle is referenced by name, not
@@ -62,9 +62,6 @@ struct BenchArtifact {
     std::string label;
     std::uint64_t index = 0;
     std::string message;
-    std::uint64_t attempts = 0;
-    std::uint64_t seed = 0;
-    bool deadline_exceeded = false;
     std::string repro_bundle;  // emitted bundle name, or ""
   };
 

@@ -56,8 +56,6 @@ std::string WriteReproBundle(const std::string& dir, const std::string& name,
   w.String(bundle.label);
   w.Key("point_index");
   w.UInt(bundle.point_index);
-  w.Key("attempt");
-  w.Int(bundle.attempt);
   w.Key("kernel");
   w.BeginObject();
   w.Key("id");
@@ -122,8 +120,6 @@ std::string WriteReproBundle(const std::string& dir, const std::string& name,
   w.BeginObject();
   w.Key("message");
   w.String(bundle.failure_message);
-  w.Key("attempts");
-  w.Int(bundle.failure_attempts);
   w.EndObject();
   w.EndObject();
   const std::string manifest = w.Take();
@@ -143,7 +139,6 @@ ReproBundle LoadReproBundle(const std::string& dir) {
   bundle.experiment = manifest.Get("experiment").AsString();
   bundle.label = manifest.Get("label").AsString();
   bundle.point_index = manifest.Get("point_index").AsU64();
-  bundle.attempt = static_cast<int>(manifest.Get("attempt").AsI64());
 
   const JsonValue& kernel = manifest.Get("kernel");
   bundle.kernel_id = kernel.Get("id").AsString();
@@ -196,7 +191,6 @@ ReproBundle LoadReproBundle(const std::string& dir) {
 
   const JsonValue& failure = manifest.Get("failure");
   bundle.failure_message = failure.Get("message").AsString();
-  bundle.failure_attempts = static_cast<int>(failure.Get("attempts").AsI64());
 
   const std::string snapshot = ReadWholeFile(root / "snapshot.bin");
   bundle.snapshot.assign(snapshot.begin(), snapshot.end());

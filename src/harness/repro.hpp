@@ -41,7 +41,6 @@ struct ReproBundle {
   std::string experiment;  // e.g. "fig12"
   std::string label;       // grid-point label
   std::uint64_t point_index = 0;
-  int attempt = 0;         // supervisor attempt that failed last
 
   // Workload: kernel source plus the standard-initializer parameters.
   std::string kernel_id;
@@ -55,7 +54,6 @@ struct ReproBundle {
 
   // The recorded failure.
   std::string failure_message;
-  int failure_attempts = 0;
 
   // Machine::Snapshot() of the last failed parallel attempt (may be
   // empty, e.g. for golden/sequential failures).

@@ -59,8 +59,8 @@ class VerifyError : public Error {
 
 /// Thrown when a measured execution exceeds RunConfig::max_cycles: the
 /// machine was paused at the budget boundary instead of being allowed to
-/// run (or hang) further.  Distinguished so sweep supervision can treat
-/// budget overruns as deadline-class failures.
+/// run (or hang) further.  Distinguished so callers can tell a budget
+/// overrun from a verification or deadlock failure.
 class CycleBudgetError : public Error {
  public:
   explicit CycleBudgetError(std::string message) : Error(std::move(message)) {}
@@ -136,7 +136,8 @@ struct RunConfig {
   /// Simulated-cycle budget for the measured sequential and parallel
   /// executions (0 = unlimited).  A run still going at this cycle is
   /// paused at the next loop boundary and reported as a CycleBudgetError —
-  /// the per-point deadline mechanism for sweep supervision.  Golden-model
+  /// the one per-point bound a supervised sweep sets (fig12
+  /// --cycle-budget).  Golden-model
   /// interpretation and multi-version tuning are never budgeted.
   std::uint64_t max_cycles = 0;
   /// Observation hook invoked after each failed parallel attempt (before

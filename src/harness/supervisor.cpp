@@ -1,8 +1,5 @@
 #include "harness/supervisor.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <chrono>
 #include <csignal>
 #include <cstdlib>
 #include <mutex>
@@ -11,7 +8,7 @@
 #include "harness/checkpoint.hpp"
 #include "harness/runner.hpp"
 #include "harness/sweep.hpp"
-#include "support/rng.hpp"
+#include "support/error.hpp"
 #include "support/serial.hpp"
 
 namespace fgpar::harness {
@@ -29,7 +26,7 @@ std::string MessageOf(const std::exception_ptr& exception) {
 }
 
 /// Parses a non-negative count from an environment variable (0/unset =
-/// disabled).  Used by the kill and drain drills below.
+/// disabled).  Used by the kill drill below.
 std::size_t CountFromEnv(const char* name) {
   const char* env = std::getenv(name);
   if (env == nullptr || *env == '\0') {
@@ -40,33 +37,11 @@ std::size_t CountFromEnv(const char* name) {
   return end != env && *end == '\0' ? static_cast<std::size_t>(value) : 0;
 }
 
-/// The SIGTERM drain flag.  sig_atomic_t for the handler; the sweep
-/// workers read it through DrainRequested (a plain load is fine — the
-/// flag only ever goes 0 -> 1 and staleness merely delays the skip by one
-/// point).
-volatile std::sig_atomic_t g_drain_requested = 0;
-
-extern "C" void FgparSupervisorOnSigterm(int) { g_drain_requested = 1; }
-
 }  // namespace
-
-bool SweepSupervisor::DrainRequested() { return g_drain_requested != 0; }
-void SweepSupervisor::RequestDrain() { g_drain_requested = 1; }
-void SweepSupervisor::ResetDrainForTest() { g_drain_requested = 0; }
 
 SweepSupervisor::SweepSupervisor(SupervisorConfig config)
     : config_(std::move(config)) {
   FGPAR_CHECK_MSG(!config_.name.empty(), "SweepSupervisor needs a name");
-}
-
-std::uint64_t SweepSupervisor::AttemptSeed(std::uint64_t base_seed,
-                                           std::size_t index, int attempt) {
-  if (attempt == 0) {
-    return base_seed;
-  }
-  // index + 1 so point 0's retry stream differs from the base stream.
-  return MixSeed(MixSeed(base_seed, static_cast<std::uint64_t>(index) + 1),
-                 static_cast<std::uint64_t>(attempt));
 }
 
 SweepOutcome SweepSupervisor::Run(const PointBody& body,
@@ -94,15 +69,9 @@ SweepOutcome SweepSupervisor::Run(const PointBody& body,
     }
   }
 
-  if (config_.drain_on_sigterm) {
-    std::signal(SIGTERM, FgparSupervisorOnSigterm);
-  }
   const std::size_t exit_after = CountFromEnv("FGPAR_SUPERVISOR_EXIT_AFTER");
-  const std::size_t sigterm_after =
-      CountFromEnv("FGPAR_SUPERVISOR_SIGTERM_AFTER");
   std::mutex mutex;  // guards the journal and the kill counter
   std::size_t journaled_this_run = 0;
-  std::atomic<std::size_t> skipped{0};
   std::vector<std::optional<PointFailure>> failed(count);
 
   detail::RunSweepIndices(
@@ -110,21 +79,9 @@ SweepOutcome SweepSupervisor::Run(const PointBody& body,
         if (outcome.completed[i]) {
           return;  // replayed from the journal
         }
-        if (config_.drain_on_sigterm && DrainRequested()) {
-          // SIGTERM drain: never start new work.  The point is neither
-          // completed nor failed; --resume recomputes exactly these.
-          // Gated on the opt-in: the flag is process-wide and sticky, so a
-          // sweep that never installed the handler must not lose points to
-          // a leftover request.
-          skipped.fetch_add(1, std::memory_order_relaxed);
-          return;
-        }
-        const int attempts = 1 + std::max(0, config_.max_retries);
         PointContext context;
         context.index = i;
         context.label = config_.labels[i];
-        context.cycle_budget = config_.point_cycle_budget;
-        context.deadline_seconds = config_.point_deadline_seconds;
 
         // Telemetry routing for this point: the shared sink, re-stamped to
         // this point's stream lane.
@@ -133,35 +90,15 @@ SweepOutcome SweepSupervisor::Run(const PointBody& body,
           context.telemetry = &lane;
         }
 
-        std::exception_ptr last_error;
-        bool deadline_exceeded = false;
-
-        for (int attempt = 0; attempt < attempts; ++attempt) {
-          context.attempt = attempt;
-          context.seed = AttemptSeed(config_.base_seed, i, attempt);
-          // The attempt span (category "point" for the first try, "retry"
-          // for re-runs) is emitted even when the body throws — the trace
-          // shows exactly where the wall-clock went.
-          telemetry::ScopedSpan span(config_.telemetry,
-                                     attempt == 0 ? "point" : "retry",
-                                     context.label, static_cast<int>(i));
+        std::exception_ptr error;
+        {
+          // The point span is emitted even when the body throws — the
+          // trace shows exactly where the wall-clock went.
+          telemetry::ScopedSpan span(config_.telemetry, "point", context.label,
+                                     static_cast<int>(i));
           span.Note("index", static_cast<std::int64_t>(i));
-          span.Note("attempt", attempt);
-          const auto start = std::chrono::steady_clock::now();
           try {
             std::string payload = body(context);
-            const double elapsed =
-                std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              start)
-                    .count();
-            if (config_.point_deadline_seconds > 0.0 &&
-                elapsed > config_.point_deadline_seconds) {
-              throw DeadlineError(
-                  "point " + std::to_string(i) + " (" + context.label +
-                  ") exceeded its wall-clock deadline: " +
-                  std::to_string(elapsed) + "s > " +
-                  std::to_string(config_.point_deadline_seconds) + "s");
-            }
             std::lock_guard<std::mutex> lock(mutex);
             outcome.payloads[i] = std::move(payload);
             outcome.completed[i] = 1;
@@ -173,30 +110,18 @@ SweepOutcome SweepSupervisor::Run(const PointBody& body,
                 // with the journal durably holding this point.
                 std::raise(SIGKILL);
               }
-              if (sigterm_after > 0 && journaled_this_run >= sigterm_after) {
-                // The drain drill: a reproducible stand-in for an external
-                // SIGTERM arriving mid-sweep.
-                std::raise(SIGTERM);
-              }
             }
             return;
-          } catch (const DeadlineError&) {
-            last_error = std::current_exception();
-            deadline_exceeded = true;
           } catch (...) {
-            last_error = std::current_exception();
-            deadline_exceeded = false;
+            error = std::current_exception();
           }
         }
 
         PointFailure failure;
         failure.index = i;
         failure.label = context.label;
-        failure.message = MessageOf(last_error);
-        failure.attempts = attempts;
-        failure.last_seed = context.seed;
-        failure.deadline_exceeded = deadline_exceeded;
-        failure.exception = last_error;
+        failure.message = MessageOf(error);
+        failure.exception = error;
         if (repro) {
           try {
             failure.repro_bundle = repro(context, failure);
@@ -214,8 +139,6 @@ SweepOutcome SweepSupervisor::Run(const PointBody& body,
       outcome.failures.push_back(std::move(*failed[i]));
     }
   }
-  outcome.skipped_points = skipped.load(std::memory_order_relaxed);
-  outcome.stopped = config_.drain_on_sigterm && DrainRequested();
   return outcome;
 }
 
@@ -225,9 +148,6 @@ void AddFailurePoints(const SweepOutcome& outcome, BenchArtifact& artifact) {
     f.label = failure.label;
     f.index = failure.index;
     f.message = failure.message;
-    f.attempts = static_cast<std::uint64_t>(failure.attempts);
-    f.seed = failure.last_seed;
-    f.deadline_exceeded = failure.deadline_exceeded;
     f.repro_bundle = failure.repro_bundle;
     artifact.failures.push_back(std::move(f));
   }

@@ -12,7 +12,6 @@ harness::RunConfig ToRunConfig(const ExperimentConfig& config) {
   run.compile.throughput_heuristic = config.throughput_heuristic;
   run.queue.capacity = config.queue_capacity;
   run.queue.transfer_latency = config.transfer_latency;
-  run.verify = config.verify;
   run.tune_by_simulation = config.tune_by_simulation;
   run.backend = config.backend;
   return run;

@@ -22,7 +22,6 @@ struct ExperimentConfig {
   int transfer_latency = 5;     // Section V default
   bool speculation = false;
   bool throughput_heuristic = false;
-  bool verify = true;
   /// Off by default: the paper's evaluation uses the static heuristics;
   /// dynamic-feedback version selection (Section III-I.1) is measured
   /// separately by bench/ablation_dynamic_feedback.

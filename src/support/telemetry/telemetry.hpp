@@ -12,8 +12,8 @@
 //    events are a pure function of the simulated run: the same program and
 //    seed produce the same event stream byte-for-byte, so traces can be
 //    golden-tested like any other deterministic artifact.
-//  * SpanEvent — a host-time interval (a compiler pass, a sweep point, a
-//    supervisor retry) with an attached map of deterministic counters.
+//  * SpanEvent — a host-time interval (a compiler pass, a sweep point)
+//    with an attached map of deterministic counters.
 //    Host wall-clock values never enter the deterministic portion of any
 //    artifact; sinks that serialize can drop spans wholesale (see
 //    ChromeTraceSink's include_host and HostFieldsSuppressed()).
@@ -96,7 +96,7 @@ struct SimEvent {
 
 /// A completed host-time interval with attached deterministic counters.
 /// Spans are emitted on completion (ScopedSpan's destructor); categories in
-/// use: "pipeline"/"pass" (compiler), "point"/"retry" (sweep supervision).
+/// use: "pipeline"/"pass" (compiler), "point" (sweep supervision).
 struct SpanEvent {
   std::string_view category;
   std::string_view name;

@@ -112,7 +112,6 @@ TEST(PipelineAllKernels, EverySequoiaKernelCompilesWithPerPassValidation) {
           telemetry::AggregatingSink sink;
           PipelineInstrumentation instrumentation;
           instrumentation.telemetry = &sink;
-          instrumentation.verify_each_pass = true;
 
           const CompiledParallel compiled =
               CompileParallel(kernel, layout, options, /*profile=*/nullptr,
@@ -237,17 +236,6 @@ TEST(PipelineValidation, InvariantViolationIsAttributed) {
         << message;
     EXPECT_NE(message.find("the moon is full"), std::string::npos) << message;
   }
-}
-
-TEST(PipelineValidation, VerifyEachPassKnobSkipsTheValidator) {
-  const ir::Kernel kernel = frontend::ParseKernel(kTinyKernel);
-  PassManager manager("test");
-  manager.Add(std::make_unique<ClobberPass>());
-  CompileState state(kernel, /*layout=*/nullptr, CompileOptions{});
-  PipelineInstrumentation instrumentation;
-  instrumentation.verify_each_pass = false;
-  manager.Run(state, &instrumentation);  // broken IR sails through...
-  EXPECT_THROW(ir::CheckValid(state.kernel()), Error);  // ...but it IS broken
 }
 
 TEST(PipelineValidation, SelectStageReportsEveryRejectedCandidate) {

@@ -4,8 +4,8 @@
 # fig12 smoke grid:
 #
 #   run A  — uninterrupted: one grid point carries an injected
-#            unrecoverable fault (--fault-point 1), gets retried once,
-#            quarantined within the failure budget, and emits a repro
+#            unrecoverable fault (--fault-point 1), is quarantined after
+#            its one attempt within the failure budget, and emits a repro
 #            bundle; the run still exits 0.
 #   run B1 — same sweep, but FGPAR_SUPERVISOR_EXIT_AFTER=2 SIGKILLs the
 #            process right after the second point is journaled (a stand-in
@@ -16,7 +16,9 @@
 # The deterministic BENCH artifact and the stdout table from run B2 must
 # be byte-identical to run A's — an interruption plus resume is invisible
 # in the results.  Finally, fgpar-repro replays run B's bundle and must
-# report the recorded failure reproduces bit-exactly.
+# report the recorded failure reproduces bit-exactly, on the workload seed
+# every other row of the table ran with (0x5eed): a quarantined point is
+# never reseeded.
 #
 # Usage:
 #   cmake -DFIG12=<fig12_speedup exe> -DREPRO_TOOL=<fgpar-repro exe>
@@ -33,7 +35,7 @@ file(MAKE_DIRECTORY "${WORK_DIR}/a" "${WORK_DIR}/b")
 set(ENV{FGPAR_BENCH_DETERMINISTIC} "1")
 set(ENV{FGPAR_SWEEP_THREADS} "2")
 
-set(sweep_args --smoke --fault-point 1 --max-retries 1 --failure-budget 1)
+set(sweep_args --smoke --fault-point 1 --failure-budget 1)
 
 # ---- run A: uninterrupted, with quarantine + repro bundle ------------------
 set(ENV{FGPAR_BENCH_DIR} "${WORK_DIR}/a")
@@ -113,4 +115,9 @@ if(NOT status_repro EQUAL 0)
 endif()
 if(NOT stdout_repro MATCHES "reproduced")
   message(FATAL_ERROR "fgpar-repro did not report a repro:\n${stdout_repro}")
+endif()
+if(NOT stdout_repro MATCHES "seed 0x5eed\n")
+  message(FATAL_ERROR
+    "the repro bundle does not replay the table's workload seed 0x5eed:\n"
+    "${stdout_repro}")
 endif()

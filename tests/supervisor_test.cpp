@@ -1,14 +1,12 @@
 // Tests for the resilient sweep supervisor stack: the checkpoint journal
-// ("fgpar-ckpt-v1"), retry/deadline/quarantine policies, checkpoint/resume
-// byte-identity, repro bundles, and the runner's cycle budget.
+// ("fgpar-ckpt-v1"), quarantine, checkpoint/resume byte-identity, repro
+// bundles, and the runner's cycle budget.
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -177,104 +175,55 @@ SupervisorConfig BasicConfig(const std::string& name, std::size_t points) {
     config.labels.push_back("point-" + std::to_string(i));
   }
   config.sweep_threads = 2;
-  config.base_seed = 77;
   return config;
 }
 
-TEST(Supervisor, CleanSweepUsesBaseSeedOnFirstAttempt) {
+TEST(Supervisor, CleanSweepRunsEveryPointOnce) {
   SupervisorConfig config = BasicConfig("clean", 9);
-  SweepSupervisor supervisor(config);
-  const SweepOutcome outcome = supervisor.Run([&](const PointContext& ctx) {
-    EXPECT_EQ(ctx.attempt, 0);
-    EXPECT_EQ(ctx.seed, 77u);  // attempt 0 == the unsupervised sweep's seed
-    return "r" + std::to_string(ctx.index);
-  });
+  std::vector<std::atomic<int>> calls(9);
+  const SweepOutcome outcome =
+      SweepSupervisor(config).Run([&](const PointContext& ctx) {
+        ++calls[ctx.index];
+        EXPECT_EQ(ctx.label, "point-" + std::to_string(ctx.index));
+        return "r" + std::to_string(ctx.index);
+      });
   EXPECT_TRUE(outcome.failures.empty());
   EXPECT_EQ(outcome.resumed_points, 0u);
   for (std::size_t i = 0; i < 9; ++i) {
+    EXPECT_EQ(calls[i].load(), 1) << i;
     EXPECT_TRUE(outcome.completed[i]);
     EXPECT_EQ(outcome.payloads[i], "r" + std::to_string(i));
   }
-  EXPECT_TRUE(supervisor.WithinFailureBudget(outcome));
-}
-
-TEST(Supervisor, RetriesReseedDeterministically) {
-  SupervisorConfig config = BasicConfig("retry", 5);
-  config.max_retries = 2;
-  std::atomic<int> attempts_seen{0};
-  SweepSupervisor supervisor(config);
-  const SweepOutcome outcome = supervisor.Run([&](const PointContext& ctx) {
-    if (ctx.index == 3 && ctx.attempt < 2) {
-      ++attempts_seen;
-      throw Error("transient failure on attempt " +
-                  std::to_string(ctx.attempt));
-    }
-    if (ctx.index == 3) {
-      // Retry seeds derive from (base, index, attempt) and never collide
-      // with the base stream.
-      EXPECT_EQ(ctx.seed, SweepSupervisor::AttemptSeed(77, 3, 2));
-      EXPECT_NE(ctx.seed, 77u);
-    }
-    return std::string("ok");
-  });
-  EXPECT_EQ(attempts_seen.load(), 2);
-  EXPECT_TRUE(outcome.failures.empty());
-  EXPECT_TRUE(outcome.completed[3]);
 }
 
 TEST(Supervisor, QuarantineRecordsStructuredFailures) {
   SupervisorConfig config = BasicConfig("quarantine", 8);
-  config.max_retries = 1;
-  config.failure_budget = 1;
   std::atomic<int> ran{0};
-  SweepSupervisor supervisor(config);
-  const SweepOutcome outcome = supervisor.Run(
+  const SweepOutcome outcome = SweepSupervisor(config).Run(
       [&](const PointContext& ctx) -> std::string {
         ++ran;
         if (ctx.index == 2 || ctx.index == 6) {
-          throw Error("boom at " + std::to_string(ctx.index) + " attempt " +
-                      std::to_string(ctx.attempt));
+          throw Error("boom at " + std::to_string(ctx.index));
         }
         return "ok";
       },
       [&](const PointContext& ctx, const PointFailure& failure) {
-        EXPECT_EQ(ctx.attempt, 1);  // the final attempt's context
+        EXPECT_EQ(ctx.index, failure.index);
         return "bundle_" + std::to_string(failure.index);
       });
   // Both failures are quarantined — the sweep never aborts — and every
-  // point ran (6 clean + 2 failing x 2 attempts).
-  EXPECT_EQ(ran.load(), 10);
+  // point ran exactly once: a failing point is never rerun.
+  EXPECT_EQ(ran.load(), 8);
   ASSERT_EQ(outcome.failures.size(), 2u);
   EXPECT_EQ(outcome.failures[0].index, 2u);
   EXPECT_EQ(outcome.failures[1].index, 6u);
-  EXPECT_EQ(outcome.failures[0].attempts, 2);
-  EXPECT_EQ(outcome.failures[0].message, "boom at 2 attempt 1");
-  EXPECT_EQ(outcome.failures[0].last_seed,
-            SweepSupervisor::AttemptSeed(77, 2, 1));
+  EXPECT_EQ(outcome.failures[0].label, "point-2");
+  EXPECT_EQ(outcome.failures[0].message, "boom at 2");
   EXPECT_EQ(outcome.failures[0].repro_bundle, "bundle_2");
-  EXPECT_FALSE(outcome.failures[0].deadline_exceeded);
-  // 2 failures > budget of 1.
-  EXPECT_FALSE(supervisor.WithinFailureBudget(outcome));
+  EXPECT_FALSE(outcome.completed[2]);
+  EXPECT_TRUE(outcome.completed[3]);
   // The typed exception survives for callers that need it.
   EXPECT_THROW(std::rethrow_exception(outcome.failures[1].exception), Error);
-}
-
-TEST(Supervisor, WallClockDeadlineQuarantinesSlowPoints) {
-  SupervisorConfig config = BasicConfig("deadline", 4);
-  config.point_deadline_seconds = 0.02;
-  SweepSupervisor supervisor(config);
-  const SweepOutcome outcome = supervisor.Run([&](const PointContext& ctx) {
-    if (ctx.index == 1) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(60));
-    }
-    return "ok";
-  });
-  ASSERT_EQ(outcome.failures.size(), 1u);
-  EXPECT_EQ(outcome.failures[0].index, 1u);
-  EXPECT_TRUE(outcome.failures[0].deadline_exceeded);
-  EXPECT_NE(outcome.failures[0].message.find("exceeded its wall-clock deadline"),
-            std::string::npos)
-      << outcome.failures[0].message;
 }
 
 TEST(Supervisor, CheckpointResumeSkipsCompletedPoints) {
@@ -350,8 +299,6 @@ TEST(Supervisor, FailureSectionRendersOnlyWhenNonEmpty) {
   failure.index = 4;
   failure.label = "lammps-2 cores=4";
   failure.message = "deadlock: ...";
-  failure.attempts = 3;
-  failure.last_seed = 12345;
   failure.repro_bundle = "repro_fig12_point4";
   outcome.failures.push_back(failure);
   harness::AddFailurePoints(outcome, artifact);
@@ -360,7 +307,7 @@ TEST(Supervisor, FailureSectionRendersOnlyWhenNonEmpty) {
   EXPECT_NE(json.find("\"label\": \"lammps-2 cores=4\""), std::string::npos);
   EXPECT_NE(json.find("\"repro_bundle\": \"repro_fig12_point4\""),
             std::string::npos);
-  EXPECT_NE(json.find("\"seed\": 12345"), std::string::npos);
+  EXPECT_NE(json.find("\"message\": \"deadlock: ...\""), std::string::npos);
 }
 
 // ---- KernelRun payload codec ----------------------------------------------
@@ -449,71 +396,6 @@ TEST(Supervisor, ParallelFailureHookSeesTheFailedMachine) {
   EXPECT_FALSE(snapshot.empty());
 }
 
-// ---- SIGTERM drain --------------------------------------------------------
-
-TEST(Supervisor, DrainStopsNewPointsAndResumeFinishesTheGrid) {
-  SweepSupervisor::ResetDrainForTest();
-  const std::string path = TempPath("ckpt_drain");
-  std::remove(path.c_str());
-  SupervisorConfig config = BasicConfig("drain", 8);
-  config.sweep_threads = 1;  // deterministic point order for the drill
-  config.drain_on_sigterm = true;
-  config.checkpoint_path = path;
-
-  // The drain request lands while point 2 is in flight: it must still
-  // finish and be journaled; points 3..7 must never start.
-  const SweepOutcome stopped = SweepSupervisor(config).Run(
-      [&](const PointContext& ctx) {
-        if (ctx.index == 2) {
-          SweepSupervisor::RequestDrain();  // what the signal handler does
-        }
-        return "r" + std::to_string(ctx.index);
-      });
-  EXPECT_TRUE(stopped.stopped);
-  EXPECT_EQ(stopped.skipped_points, 5u);
-  EXPECT_TRUE(stopped.failures.empty());  // skipped != failed
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_TRUE(stopped.completed[i]) << i;
-  }
-  for (std::size_t i = 3; i < 8; ++i) {
-    EXPECT_FALSE(stopped.completed[i]) << i;
-  }
-
-  // A --resume run recomputes exactly the skipped points.
-  SweepSupervisor::ResetDrainForTest();
-  config.resume = true;
-  std::atomic<int> recomputed{0};
-  const SweepOutcome finished = SweepSupervisor(config).Run(
-      [&](const PointContext& ctx) {
-        EXPECT_GE(ctx.index, 3u);
-        ++recomputed;
-        return "r" + std::to_string(ctx.index);
-      });
-  EXPECT_FALSE(finished.stopped);
-  EXPECT_EQ(finished.resumed_points, 3u);
-  EXPECT_EQ(recomputed.load(), 5);
-  for (std::size_t i = 0; i < 8; ++i) {
-    EXPECT_TRUE(finished.completed[i]) << i;
-    EXPECT_EQ(finished.payloads[i], "r" + std::to_string(i));
-  }
-  std::remove(path.c_str());
-}
-
-TEST(Supervisor, DrainFlagNeedsOptIn) {
-  // Without drain_on_sigterm the sticky flag is ignored: sweeps that did
-  // not install the handler keep their all-points semantics.
-  SweepSupervisor::RequestDrain();
-  SupervisorConfig config = BasicConfig("nodrain", 4);
-  const SweepOutcome outcome = SweepSupervisor(config).Run(
-      [](const PointContext& ctx) { return "r" + std::to_string(ctx.index); });
-  SweepSupervisor::ResetDrainForTest();
-  EXPECT_FALSE(outcome.stopped);
-  EXPECT_EQ(outcome.skipped_points, 0u);
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_TRUE(outcome.completed[i]) << i;
-  }
-}
-
 // ---- repro bundles --------------------------------------------------------
 
 TEST(Repro, BundleRoundTripsThroughDisk) {
@@ -521,7 +403,6 @@ TEST(Repro, BundleRoundTripsThroughDisk) {
   bundle.experiment = "fig12";
   bundle.label = "lammps-1 cores=2";
   bundle.point_index = 3;
-  bundle.attempt = 1;
   bundle.kernel_id = "lammps-1";
   bundle.kernel_source = "kernel demo { param n: i64; }\n";
   bundle.trip = 250;
@@ -536,7 +417,6 @@ TEST(Repro, BundleRoundTripsThroughDisk) {
   bundle.config.faults.seed = 99;
   bundle.config.faults.payload_flip_prob = 0.25;
   bundle.failure_message = "memory mismatch in parallel codegen ...";
-  bundle.failure_attempts = 2;
   bundle.snapshot = {0x66, 0x67, 0x00, 0xff, 0x10};
 
   const std::string dir = TempPath("repro_bundles");
@@ -549,7 +429,6 @@ TEST(Repro, BundleRoundTripsThroughDisk) {
   EXPECT_EQ(loaded.experiment, "fig12");
   EXPECT_EQ(loaded.label, bundle.label);
   EXPECT_EQ(loaded.point_index, 3u);
-  EXPECT_EQ(loaded.attempt, 1);
   EXPECT_EQ(loaded.kernel_id, "lammps-1");
   EXPECT_EQ(loaded.kernel_source, bundle.kernel_source);
   EXPECT_EQ(loaded.trip, 250);
@@ -565,7 +444,6 @@ TEST(Repro, BundleRoundTripsThroughDisk) {
   EXPECT_EQ(loaded.config.faults.seed, 99u);
   EXPECT_DOUBLE_EQ(loaded.config.faults.payload_flip_prob, 0.25);
   EXPECT_EQ(loaded.failure_message, bundle.failure_message);
-  EXPECT_EQ(loaded.failure_attempts, 2);
   EXPECT_EQ(loaded.snapshot, bundle.snapshot);
 
   // A future-schema manifest is rejected, not misread.

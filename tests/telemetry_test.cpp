@@ -201,24 +201,26 @@ TEST(SupervisorTelemetry, AttemptSpansLandOnPointAndRetryCategories) {
   AggregatingSink sink;
   harness::SupervisorConfig config;
   config.name = "spans";
-  config.labels = {"p0"};
+  config.labels = {"p0", "p1"};
   config.sweep_threads = 1;
-  config.max_retries = 2;
   config.telemetry = &sink;
   harness::SweepSupervisor supervisor(config);
-  int calls = 0;
   const harness::SweepOutcome outcome =
-      supervisor.Run([&](const harness::PointContext&) -> std::string {
-        if (++calls < 3) {
-          throw Error("fail twice");
+      supervisor.Run([&](const harness::PointContext& ctx) -> std::string {
+        if (ctx.index == 1) {
+          throw Error("fails once, quarantined");
         }
         return "payload";
       });
-  EXPECT_TRUE(outcome.failures.empty());
-  ASSERT_EQ(sink.SpansInCategory("point").size(), 1u);
-  EXPECT_EQ(sink.SpansInCategory("retry").size(), 2u);
-  EXPECT_EQ(sink.SpansInCategory("point")[0].name, "p0");
-  EXPECT_EQ(sink.SpansInCategory("retry")[0].counters.at("attempt"), 1);
+  ASSERT_EQ(outcome.failures.size(), 1u);
+  // One "point" span per point, the failing one included; a failed point
+  // is quarantined, never retried, so no "retry" span exists.
+  const std::vector<SpanRecord> points = sink.SpansInCategory("point");
+  ASSERT_EQ(points.size(), 2u);
+  EXPECT_EQ(points[0].name, "p0");
+  EXPECT_EQ(points[1].name, "p1");
+  EXPECT_EQ(points[1].counters.at("index"), 1);
+  EXPECT_TRUE(sink.SpansInCategory("retry").empty());
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 //   fgpar-repro <bundle-dir> [--trace <out.json>]
 //
 // A bundle (see harness/repro.hpp) holds the kernel source, the exact
-// RunConfig of the failed attempt (seed, faults, watchdog, budgets), the
+// RunConfig of the failed point (seed, faults, watchdog, budgets), the
 // recorded failure text, and the Machine::Snapshot() taken at the instant
 // the parallel attempt failed.  This tool rebuilds the workload from the
 // manifest, replays the verifying pipeline with the recorded
@@ -67,10 +67,9 @@ int main(int argc, char** argv) {
   try {
     const harness::ReproBundle bundle =
         harness::LoadReproBundle(bundle_dir);
-    std::printf("bundle: %s point %llu (%s), attempt %d of %d\n",
-                bundle.experiment.c_str(),
+    std::printf("bundle: %s point %llu (%s)\n", bundle.experiment.c_str(),
                 static_cast<unsigned long long>(bundle.point_index),
-                bundle.label.c_str(), bundle.attempt, bundle.failure_attempts);
+                bundle.label.c_str());
     std::printf("kernel: %s (trip %lld), seed 0x%llx\n",
                 bundle.kernel_id.c_str(),
                 static_cast<long long>(bundle.trip),

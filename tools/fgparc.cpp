@@ -1,7 +1,12 @@
 // fgparc — the fine-grained parallelizing compiler, as a command-line tool.
 //
 // Usage:
-//   fgparc <file.fk> [options]
+//   fgparc <file.fk | kernel> [options]
+//
+// The input is a kernel-language file or, when no file of that name
+// exists, a built-in Table-I kernel id from --list-kernels (e.g.
+// lammps-1).  A built-in kernel runs on the workload fig12 measures: its
+// Table-I trip count and fixed f64 params (kernels::SequoiaInit).
 //
 // Options:
 //   --cores N          core budget (default 4)
@@ -24,7 +29,8 @@
 //                      frontier (plus the default), report the best, and
 //                      write TUNE_<kernel>.json (fgpar-tune-v1)
 //   --smt N            hardware threads per physical core (default 1)
-//   --trip N           value for every i64 parameter (default 400)
+//   --trip N           value for every i64 parameter of a .fk file
+//                      (default 400; built-in kernels use their own)
 //   --seed N           workload RNG seed (default 0x5EED)
 //   --tier T           simulator run tier: auto|slow|fast
 //                      (default auto; results are bit-identical per tier)
@@ -50,9 +56,10 @@
 //   --run              compile sequential + parallel, verify, report speedup
 //                      (default if no print option is given)
 //
-// Arrays are initialized with deterministic values in [0.5, 2); i64 arrays
-// get in-range indices; f64 params get values in [0.5, 2); i64 params get
-// --trip.  Exit code 0 on success, 1 on any compile/verify error.
+// For a .fk file, arrays are initialized with deterministic values in
+// [0.5, 2); i64 arrays get in-range indices; f64 params get values in
+// [0.5, 2); i64 params get --trip.  Exit code 0 on success, 1 on any
+// compile/verify error.
 #include <cstdio>
 #include <cstring>
 #include <algorithm>
@@ -117,7 +124,7 @@ struct CliOptions {
 
 [[noreturn]] void Usage() {
   std::fprintf(stderr,
-               "usage: fgparc <file.fk> [--cores N] [--latency N] [--capacity N]\n"
+               "usage: fgparc <file.fk | kernel> [--cores N] [--latency N] [--capacity N]\n"
                "              [--speculate] [--throughput] [--tune] [--smt N]\n"
                "              [--cost-model simulate|analytic] [--explain-select]\n"
                "              [--autotune] [--apply-tune TUNE.json]\n"
@@ -126,7 +133,9 @@ struct CliOptions {
                "              [--print-ir] [--print-plan] [--disasm] [--run]\n"
                "              [--print-pipeline] [--dump-after=<pass|all>]\n"
                "              [--compile-stats] [--version]\n"
-               "       fgparc --list-kernels\n");
+               "       fgparc --list-kernels\n"
+               "kernel is a built-in id from --list-kernels; --trip applies to .fk\n"
+               "files only.\n");
   std::exit(2);
 }
 
@@ -339,15 +348,29 @@ int Main(int argc, char** argv) {
                 harness::TunePointLabel(best).c_str());
   }
 
-  std::ifstream in(options.path);
-  if (!in) {
+  // An existing file wins; otherwise the argument may name a built-in
+  // kernel, which runs on its own Table-I workload as fig12 does.
+  std::string source;
+  harness::WorkloadInit init;
+  const std::vector<kernels::SequoiaKernel>& builtins =
+      kernels::SequoiaKernels();
+  const auto builtin = std::find_if(
+      builtins.begin(), builtins.end(),
+      [&](const kernels::SequoiaKernel& k) { return k.id == options.path; });
+  if (std::ifstream in(options.path); in) {
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    source = buffer.str();
+    init = MakeInit(options);
+  } else if (builtin != builtins.end()) {
+    source = builtin->source;
+    init = kernels::SequoiaInit(*builtin);
+  } else {
     std::fprintf(stderr, "fgparc: cannot open %s\n", options.path.c_str());
     return 1;
   }
-  std::stringstream buffer;
-  buffer << in.rdbuf();
 
-  const ir::Kernel kernel = frontend::ParseKernel(buffer.str());
+  const ir::Kernel kernel = frontend::ParseKernel(source);
   const ir::DataLayout layout(kernel);
 
   compiler::CompileOptions compile;
@@ -434,7 +457,7 @@ int Main(int argc, char** argv) {
     tune_options.default_point.merge = options.throughput ? 2 : 0;
     tune_options.seed = options.seed;
     const harness::TuneResult tuned = harness::AutotuneKernel(
-        kernel, MakeInit(options), harness::TuneSpace{}, tune_options);
+        kernel, init, harness::TuneSpace{}, tune_options);
     std::printf("kernel:       %s\n", kernel.name().c_str());
     std::printf("enumerated:   %zu configs\n", tuned.enumerated);
     std::printf("simulated:    %zu (frontier %zu, %.0f%% of the space)\n",
@@ -473,7 +496,7 @@ int Main(int argc, char** argv) {
   }
 
   if (options.run) {
-    harness::KernelRunner runner(kernel, MakeInit(options));
+    harness::KernelRunner runner(kernel, init);
     harness::RunConfig config;
     config.compile = compile;
     config.queue.transfer_latency = options.latency;
