@@ -1,7 +1,9 @@
 #include "harness/random_kernel.hpp"
 
 #include <bit>
+#include <sstream>
 
+#include "frontend/parser.hpp"
 #include "ir/builder.hpp"
 #include "support/rng.hpp"
 
@@ -201,6 +203,36 @@ RandomKernelCase GenerateRandomKernel(std::uint64_t seed, bool with_conditionals
     }
   };
   return out;
+}
+
+ir::Kernel GenerateWideKernel(std::uint64_t seed, int stmts) {
+  constexpr int kInputs = 8;
+  Rng rng(seed);
+  std::ostringstream os;
+  os << "kernel wide {\n  param i64 n;\n";
+  for (int a = 0; a < kInputs; ++a) {
+    os << "  array f64 a" << a << "[1024];\n";
+  }
+  for (int s = 0; s < stmts; ++s) {
+    os << "  array f64 o" << s << "[1024];\n";
+  }
+  os << "  loop i = 2 .. n {\n";
+  for (int s = 0; s < stmts; ++s) {
+    os << "    f64 t" << s << " = ";
+    const std::int64_t terms = rng.NextInt(2, 4);
+    for (std::int64_t t = 0; t < terms; ++t) {
+      if (t > 0) {
+        os << (rng.NextBool() ? " + " : " * ");
+      }
+      os << "a" << rng.NextInt(0, kInputs - 1) << "[i+" << rng.NextInt(0, 2) << "]";
+    }
+    if (s > 0 && rng.NextBool(0.4)) {
+      os << " - t" << rng.NextInt(0, s - 1);
+    }
+    os << ";\n    o" << s << "[i] = t" << s << " * " << s + 1 << ".5;\n";
+  }
+  os << "  }\n}\n";
+  return frontend::ParseKernel(os.str());
 }
 
 }  // namespace fgpar::harness

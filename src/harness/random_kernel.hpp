@@ -27,4 +27,11 @@ RandomKernelCase GenerateRandomKernel(std::uint64_t seed,
                                       bool with_conditionals = true,
                                       bool with_reduction = true);
 
+/// A wide loop of `stmts` seeded statements for compile-time scaling: each
+/// defines a temp from 2-4 reads of eight input arrays, subtracts an
+/// earlier temp with probability 0.4, and stores it to its own output
+/// array.  About two code-graph nodes per statement, and no memory
+/// conflicts, so the graph's width grows linearly with `stmts`.
+ir::Kernel GenerateWideKernel(std::uint64_t seed, int stmts);
+
 }  // namespace fgpar::harness
