@@ -74,10 +74,9 @@ int StmtComputeOps(const ir::Kernel& kernel, const ir::Stmt& stmt) {
 }
 
 int CodeGraph::NodeOf(ir::StmtId stmt) const {
-  for (const auto& [id, node] : stmt_to_node_) {
-    if (id == stmt) {
-      return node;
-    }
+  if (stmt >= 0 && static_cast<std::size_t>(stmt) < node_of_.size() &&
+      node_of_[static_cast<std::size_t>(stmt)] >= 0) {
+    return node_of_[static_cast<std::size_t>(stmt)];
   }
   throw Error("statement not in code graph: " + std::to_string(stmt));
 }
@@ -197,7 +196,12 @@ CodeGraph BuildCodeGraph(const KernelIndex& index, const analysis::CostModel& co
     node.cost += cost.StmtCost(kernel, *entry->stmt);
     node.min_line = std::min(node.min_line, entry->stmt->source_line);
     node.compute_ops += StmtComputeOps(kernel, *entry->stmt);
-    graph.stmt_to_node_.emplace_back(entry->id, it->second);
+    FGPAR_CHECK(entry->id >= 0);
+    const auto id = static_cast<std::size_t>(entry->id);
+    if (id >= graph.node_of_.size()) {
+      graph.node_of_.resize(id + 1, -1);
+    }
+    graph.node_of_[id] = it->second;
   }
 
   // ---- edges: temp dataflow + control dependences ----

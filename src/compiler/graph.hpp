@@ -46,13 +46,14 @@ struct CodeGraph {
   /// "Data Deps" of Table III: data dependences between initial fibers.
   int data_dep_count = 0;
 
-  /// Node index containing a statement.
+  /// Node index containing a statement (O(1)); throws for a statement
+  /// not in the graph.
   int NodeOf(ir::StmtId stmt) const;
 
  private:
   friend CodeGraph BuildCodeGraph(const analysis::KernelIndex& index,
                                   const analysis::CostModel& cost);
-  std::vector<std::pair<ir::StmtId, int>> stmt_to_node_;
+  std::vector<int> node_of_;  // by statement id; -1 for none
 };
 
 /// Builds the fused code graph for a fiberized kernel.

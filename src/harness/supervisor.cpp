@@ -2,6 +2,7 @@
 
 #include <csignal>
 #include <cstdlib>
+#include <exception>
 #include <mutex>
 #include <optional>
 
@@ -121,7 +122,6 @@ SweepOutcome SweepSupervisor::Run(const PointBody& body,
         failure.index = i;
         failure.label = context.label;
         failure.message = MessageOf(error);
-        failure.exception = error;
         if (repro) {
           try {
             failure.repro_bundle = repro(context, failure);

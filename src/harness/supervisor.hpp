@@ -31,7 +31,6 @@
 // reproducible stand-in for an external kill -9 mid-sweep.
 #pragma once
 
-#include <exception>
 #include <functional>
 #include <string>
 #include <vector>
@@ -82,7 +81,6 @@ struct PointFailure {
   std::string label;
   std::string message;        // the exception text
   std::string repro_bundle;   // bundle name from the ReproEmitter, or ""
-  std::exception_ptr exception;
 };
 
 struct SweepOutcome {
