@@ -20,8 +20,8 @@
 //                        max_cycles); a point that overruns it is
 //                        quarantined
 //   --failure-budget <n> quarantined failures tolerated before exit 1
-//   --fault-point <i>    injects an unrecoverable fault at grid point i
-//                        (resilience drills; quarantines that point)
+//   --fault-point <i>    fails grid point i through a one-cycle budget
+//                        (the resume drill; quarantines that point)
 //   --repro-dir <dir>    emit a repro bundle per quarantined point
 //   --trace <path>       write a Chrome trace_event capture of the whole
 //                        sweep (per-point "point" host spans plus
@@ -149,13 +149,9 @@ int main(int argc, char** argv) {
     harness::RunConfig config = kernels::ToRunConfig(experiment);
     config.max_cycles = cycle_budget;
     if (fault_point >= 0 && index == static_cast<std::size_t>(fault_point)) {
-      // An unrecoverable injected failure: every payload in transit is
-      // flipped, so verification can never pass; no sequential fallback,
-      // so the point fails hard and gets quarantined.
-      config.faults.payload_flip_prob = 1.0;
-      config.stall_watchdog_cycles = 200000;
-      config.fallback.max_retries = 0;
-      config.fallback.fall_back_to_sequential = false;
+      // A real failure: the sequential run cannot finish in one cycle, so
+      // the point throws a CycleBudgetError and gets quarantined.
+      config.max_cycles = 1;
     }
     return config;
   };
@@ -163,8 +159,7 @@ int main(int argc, char** argv) {
   const auto body = [&](const harness::PointContext& ctx) {
     harness::RunConfig config = config_for(ctx.index);
     config.telemetry = ctx.telemetry;
-    config.on_parallel_failure = [&](const sim::Machine& machine, const Error&,
-                                     int) {
+    config.on_failure = [&](const sim::Machine& machine, const Error&) {
       snapshots[ctx.index] = machine.Snapshot();
     };
     const auto point_start = std::chrono::steady_clock::now();

@@ -173,10 +173,6 @@ TuneResult AutotuneKernel(const ir::Kernel& kernel, const WorkloadInit& init,
       const KernelRun run = DecodeKernelRun(outcome.payloads[local]);
       candidate.simulated = true;
       candidate.simulated_speedup = run.speedup;
-      if (run.fallback_used) {
-        candidate.note = "parallel execution fell back to sequential: " +
-                         run.failure_reason;
-      }
       ++result.simulated;
     }
   }

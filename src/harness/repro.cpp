@@ -88,33 +88,8 @@ std::string WriteReproBundle(const std::string& dir, const std::string& name,
   w.Bool(bundle.config.tune_by_simulation);
   w.Key("seed");
   w.UInt(bundle.config.seed);
-  w.Key("stall_watchdog_cycles");
-  w.UInt(bundle.config.stall_watchdog_cycles);
   w.Key("max_cycles");
   w.UInt(bundle.config.max_cycles);
-  w.Key("runner_max_retries");
-  w.Int(bundle.config.fallback.max_retries);
-  w.Key("faults");
-  w.BeginObject();
-  w.Key("seed");
-  w.UInt(bundle.config.faults.seed);
-  w.Key("queue_jitter_prob");
-  w.Double(bundle.config.faults.queue_jitter_prob);
-  w.Key("queue_jitter_max_cycles");
-  w.Int(bundle.config.faults.queue_jitter_max_cycles);
-  w.Key("queue_reject_prob");
-  w.Double(bundle.config.faults.queue_reject_prob);
-  w.Key("payload_flip_prob");
-  w.Double(bundle.config.faults.payload_flip_prob);
-  w.Key("mem_fault_prob");
-  w.Double(bundle.config.faults.mem_fault_prob);
-  w.Key("mem_fault_extra_cycles");
-  w.Int(bundle.config.faults.mem_fault_extra_cycles);
-  w.Key("core_freeze_prob");
-  w.Double(bundle.config.faults.core_freeze_prob);
-  w.Key("core_freeze_cycles");
-  w.Int(bundle.config.faults.core_freeze_cycles);
-  w.EndObject();
   w.EndObject();
   w.Key("failure");
   w.BeginObject();
@@ -162,29 +137,7 @@ ReproBundle LoadReproBundle(const std::string& dir) {
       static_cast<int>(config.Get("threads_per_core").AsI64());
   bundle.config.tune_by_simulation = config.Get("tune_by_simulation").AsBool();
   bundle.config.seed = config.Get("seed").AsU64();
-  bundle.config.stall_watchdog_cycles =
-      config.Get("stall_watchdog_cycles").AsU64();
   bundle.config.max_cycles = config.Get("max_cycles").AsU64();
-  bundle.config.fallback.max_retries =
-      static_cast<int>(config.Get("runner_max_retries").AsI64());
-
-  const JsonValue& faults = config.Get("faults");
-  bundle.config.faults.seed = faults.Get("seed").AsU64();
-  bundle.config.faults.queue_jitter_prob =
-      faults.Get("queue_jitter_prob").AsDouble();
-  bundle.config.faults.queue_jitter_max_cycles =
-      static_cast<int>(faults.Get("queue_jitter_max_cycles").AsI64());
-  bundle.config.faults.queue_reject_prob =
-      faults.Get("queue_reject_prob").AsDouble();
-  bundle.config.faults.payload_flip_prob =
-      faults.Get("payload_flip_prob").AsDouble();
-  bundle.config.faults.mem_fault_prob = faults.Get("mem_fault_prob").AsDouble();
-  bundle.config.faults.mem_fault_extra_cycles =
-      static_cast<int>(faults.Get("mem_fault_extra_cycles").AsI64());
-  bundle.config.faults.core_freeze_prob =
-      faults.Get("core_freeze_prob").AsDouble();
-  bundle.config.faults.core_freeze_cycles =
-      static_cast<int>(faults.Get("core_freeze_cycles").AsI64());
   // The checker must assume the queues the code will run on, exactly like
   // the runner does.
   bundle.config.compile.assumed_queue_capacity = bundle.config.queue.capacity;

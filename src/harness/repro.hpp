@@ -10,17 +10,17 @@
 //     manifest.json  — schema "fgpar-repro-v1": kernel identity and
 //                      workload parameters (trip, fixed f64 params), the
 //                      RunConfig fields the run deviated from defaults on
-//                      (cores, queue geometry, seed, fault config, budgets,
-//                      runner retry policy), and the recorded failure
-//     snapshot.bin   — Machine::Snapshot() of the last failed parallel
-//                      attempt, taken at the exact failure point ("" when
-//                      the failure happened outside a parallel attempt)
+//                      (cores, queue geometry, seed, cycle budget), and the
+//                      recorded failure
+//     snapshot.bin   — Machine::Snapshot() of the failed sequential or
+//                      parallel machine, taken at the exact failure point
+//                      (empty when the failure happened outside a measured
+//                      run, e.g. at compile time)
 //
 // `fgpar-repro <dir>` (tools/fgpar_repro.cpp) replays the bundle through
-// the full verifying pipeline with the recorded configuration — faults,
-// watchdog, and budgets force the instrumented reference loop — and
-// reports whether the recorded failure reproduces bit-exactly, comparing
-// both the exception text and the machine snapshot at failure.
+// the full verifying pipeline with the recorded configuration and reports
+// whether the recorded failure reproduces bit-exactly, comparing both the
+// exception text and the machine snapshot at failure.
 //
 // The manifest stores only fields the harness round-trips explicitly
 // (schema v1); RunConfig fields not listed above are assumed to be at
@@ -55,8 +55,8 @@ struct ReproBundle {
   // The recorded failure.
   std::string failure_message;
 
-  // Machine::Snapshot() of the last failed parallel attempt (may be
-  // empty, e.g. for golden/sequential failures).
+  // Machine::Snapshot() of the failed measured run (empty when the failure
+  // happened outside one, e.g. at compile time).
   std::vector<std::uint8_t> snapshot;
 };
 

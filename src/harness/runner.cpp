@@ -1,15 +1,12 @@
 #include "harness/runner.hpp"
 
 #include <algorithm>
-#include <exception>
 #include <sstream>
 
 #include "ir/validate.hpp"
 #include "native/codegen.hpp"
 #include "native/executor.hpp"
 #include "support/error.hpp"
-#include "support/rng.hpp"
-#include "support/telemetry/sinks.hpp"
 
 namespace fgpar::harness {
 
@@ -88,7 +85,6 @@ sim::MachineConfig KernelRunner::MachineConfigFor(const RunConfig& config,
   machine.timing = config.timing;
   machine.cache = config.cache;
   machine.queue = config.queue;
-  machine.stall_watchdog_cycles = config.stall_watchdog_cycles;
   machine.force_tier = config.force_tier;
   // Round the data region up to a power-of-two-ish budget with headroom.
   std::uint64_t words = 1024;
@@ -170,6 +166,26 @@ KernelRun KernelRunner::Run(const RunConfig& config) const {
   compiler::CompileOptions compile_options = config.compile;
   compile_options.assumed_queue_capacity = config.queue.capacity;
 
+  // One measured run: to completion under the cycle budget, then verified
+  // when asked.  Any throw reaches config.on_failure once, with the machine
+  // intact, and then propagates.
+  const auto measure = [&](sim::Machine& machine, const char* what,
+                           const std::string& verify_what) {
+    try {
+      const sim::RunResult result =
+          RunBounded(machine, config.max_cycles, kernel_.name(), what);
+      if (config.verify) {
+        CompareMemory(machine, golden, verify_what);
+      }
+      return result;
+    } catch (const Error& e) {
+      if (config.on_failure) {
+        config.on_failure(machine, e);
+      }
+      throw;
+    }
+  };
+
   // ---- sequential baseline ----
   {
     const isa::Program program =
@@ -178,10 +194,7 @@ KernelRun KernelRunner::Run(const RunConfig& config) const {
     LoadImage(machine, prepared.image);
     machine.StartCoreAt(0, "main");
     const sim::RunResult result =
-        RunBounded(machine, config.max_cycles, kernel_.name(), "sequential execution");
-    if (config.verify) {
-      CompareMemory(machine, golden, "sequential codegen");
-    }
+        measure(machine, "sequential execution", "sequential codegen");
     run.seq_cycles = result.core0_halt_cycle;
     run.seq_instructions = result.instructions;
     run.threaded_stats += machine.threaded_stats();
@@ -195,8 +208,7 @@ KernelRun KernelRunner::Run(const RunConfig& config) const {
         [&](const isa::Program& program, int cores) -> std::uint64_t {
       // Train on the hardware the compiler assumes (paper methodology:
       // heuristics are tuned for the default 5-cycle queues even when the
-      // deployment hardware differs, as in the Figure 13 sweep).  Training
-      // is always fault-free: it ranks candidates, it does not stress them.
+      // deployment hardware differs, as in the Figure 13 sweep).
       RunConfig training = config;
       training.queue.transfer_latency = config.compile.assumed_transfer_latency;
       sim::Machine machine(MachineConfigFor(training, cores), program);
@@ -226,106 +238,26 @@ KernelRun KernelRunner::Run(const RunConfig& config) const {
     run.load_balance = compiled.partition.load_balance;
     run.com_ops = compiled.comm.com_ops();
 
-    // Measured parallel run, optionally under injected faults.  A failed
-    // attempt (deadlock, watchdog trip, verification mismatch, or any
-    // fault-induced error) is retried with a reseeded fault schedule; when
-    // the budget is exhausted the runner degrades to the already-verified
-    // sequential execution instead of throwing.
-    const bool faults_on = config.faults.AnyEnabled();
-    const int attempts =
-        faults_on ? 1 + std::max(0, config.fallback.max_retries) : 1;
-    bool parallel_ok = false;
-    std::exception_ptr last_failure;
-    for (int attempt = 0; attempt < attempts && !parallel_ok; ++attempt) {
-      sim::MachineConfig mc = MachineConfigFor(config, compiled.cores_used);
-      if (faults_on) {
-        mc.faults = config.faults;
-        mc.faults.seed =
-            MixSeed(MixSeed(config.seed, config.faults.seed),
-                    static_cast<std::uint64_t>(attempt));
-      }
-      sim::Machine machine(mc, compiled.program);
+    // ---- measured parallel run ----
+    {
+      sim::Machine machine(MachineConfigFor(config, compiled.cores_used),
+                           compiled.program);
       LoadImage(machine, prepared.image);
       machine.StartCoreAt(0, compiler::CompiledParallel::kPrimaryEntry);
       for (int c = 1; c < compiled.cores_used; ++c) {
         machine.StartCoreAt(c, compiler::CompiledParallel::kDriverEntry);
       }
-      // Each attempt traces into its own stream lane, so a retried point's
-      // attempts stay distinguishable in one trace file.  (An enclosing
-      // StreamSink — e.g. the sweep supervisor's per-point lane — restamps
-      // again downstream; the outermost lane wins.)
-      telemetry::StreamSink attempt_lane(config.telemetry, attempt);
-      if (config.telemetry != nullptr) {
-        machine.SetTelemetry(&attempt_lane);
-      }
-      // The observation hook sees every failed attempt — including ones
-      // that will propagate — so a repro bundle can capture the machine
-      // state at the exact failure point.
-      const auto note_failure = [&](const Error& e) {
-        if (config.on_parallel_failure) {
-          config.on_parallel_failure(machine, e, attempt);
-        }
-      };
-      const auto record_failure = [&](const Error& e) {
-        note_failure(e);
-        last_failure = std::current_exception();
-        run.failure_reason = e.what();
-        run.fault_stats = machine.fault_injector().stats();
-        ++run.retries;
-      };
-      try {
-        const sim::RunResult result = RunBounded(
-            machine, config.max_cycles, kernel_.name(), "parallel execution");
-        // Under injected faults, verify even when config.verify is off: a
-        // silently corrupted result must trigger retry/fallback, never be
-        // reported as a speedup.
-        if (config.verify || faults_on) {
-          CompareMemory(machine, golden,
-                        "parallel codegen (" +
-                            std::to_string(compiled.cores_used) + " cores)");
-        }
-        run.par_cycles = result.core0_halt_cycle;
-        run.par_instructions = result.instructions;
-        run.par_queue_transfers = machine.queues().TotalTransfers();
-        run.queues_used = machine.queues().UsedChannelCount();
-        run.max_queue_occupancy = machine.queues().MaxOccupancy();
-        run.fault_stats = machine.fault_injector().stats();
-        run.threaded_stats += machine.threaded_stats();
-        parallel_ok = true;
-      } catch (const sim::DeadlockError& e) {
-        record_failure(e);
-      } catch (const sim::StallError& e) {
-        record_failure(e);
-      } catch (const VerifyError& e) {
-        // A mismatch without faults is a real compiler bug: surface it.
-        if (!faults_on) {
-          note_failure(e);
-          throw;
-        }
-        record_failure(e);
-      } catch (const Error& e) {
-        // Injected bit flips can trip arbitrary machine checks (bad
-        // addresses, division by zero, ...).  Without faults such errors
-        // are genuine and must propagate.
-        if (!faults_on) {
-          note_failure(e);
-          throw;
-        }
-        record_failure(e);
-      }
-    }
-    if (!parallel_ok) {
-      if (!config.fallback.fall_back_to_sequential) {
-        std::rethrow_exception(last_failure);
-      }
-      // Graceful degradation: report the verified sequential execution.
-      run.fallback_used = true;
-      run.cores_used = 1;
-      run.par_cycles = run.seq_cycles;
-      run.par_instructions = run.seq_instructions;
-      run.par_queue_transfers = 0;
-      run.queues_used = 0;
-      run.max_queue_occupancy = 0;
+      machine.SetTelemetry(config.telemetry);
+      const sim::RunResult result =
+          measure(machine, "parallel execution",
+                  "parallel codegen (" + std::to_string(compiled.cores_used) +
+                      " cores)");
+      run.par_cycles = result.core0_halt_cycle;
+      run.par_instructions = result.instructions;
+      run.par_queue_transfers = machine.queues().TotalTransfers();
+      run.queues_used = machine.queues().UsedChannelCount();
+      run.max_queue_occupancy = machine.queues().MaxOccupancy();
+      run.threaded_stats += machine.threaded_stats();
     }
 
     // ---- native-backend execution (real host threads + SPSC rings) ----
@@ -396,8 +328,10 @@ telemetry::CounterRegistry KernelRunTelemetry(const KernelRun& run) {
   registry.Count("cores_used", static_cast<std::uint64_t>(run.cores_used));
   registry.Count("com_ops", static_cast<std::uint64_t>(run.com_ops));
   registry.Count("queues_used", static_cast<std::uint64_t>(run.queues_used));
-  registry.Count("fallback_used", run.fallback_used ? 1 : 0);
-  registry.Count("retries", static_cast<std::uint64_t>(run.retries));
+  // Always 0 (a failing run throws); kept so the point schema, and every
+  // artifact golden, stays byte-identical.
+  registry.Count("fallback_used", 0);
+  registry.Count("retries", 0);
   // Diagnostic-only entries (tables, traces — never artifact points).
   registry.Count("initial_fibers",
                  static_cast<std::uint64_t>(run.initial_fibers),

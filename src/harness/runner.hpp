@@ -8,16 +8,12 @@
 // Speedup is sequential cycles / parallel cycles, measured at core 0's
 // halt, exactly like the paper's "speedup over sequential execution time".
 //
-// Resilience: the parallel measurement may be run under deterministic
-// fault injection (RunConfig::faults) and a stall watchdog.  When the
-// parallel machine deadlocks, trips the watchdog, or fails verification,
-// the runner retries with reseeded faults up to FallbackPolicy::max_retries
-// times and then degrades gracefully to the already-verified sequential
-// execution instead of throwing — KernelRun records `fallback_used`,
-// `retries`, and `failure_reason` so degraded-mode numbers stay visible.
-// Everything — workload initialization, fault schedules, multi-version
-// tuning — is derived from the single RunConfig::seed, so any run
-// (including a fault-injected one) is bit-reproducible from one integer.
+// Failure has one path: each measured run executes once, and a deadlock,
+// verify mismatch, exceeded cycle budget, or any other machine error
+// throws out of KernelRunner::Run (after RunConfig::on_failure has seen
+// the failed machine).  Workload initialization derives from the single
+// RunConfig::seed and multi-version tuning is deterministic, so any run —
+// including a failing one — is bit-reproducible from one integer.
 #pragma once
 
 #include <cstdint>
@@ -32,7 +28,6 @@
 #include "ir/kernel.hpp"
 #include "ir/layout.hpp"
 #include "model/analytic.hpp"
-#include "sim/fault.hpp"
 #include "sim/machine.hpp"
 #include "support/telemetry/telemetry.hpp"
 
@@ -50,8 +45,8 @@ using WorkloadInit =
                        std::vector<std::uint64_t>&)>;
 
 /// Thrown when a simulated execution's memory differs from the golden
-/// model.  Distinguished from other errors so the fallback logic can
-/// classify fault-induced corruption.
+/// model.  Distinguished from other errors so callers can tell a wrong
+/// result from a machine that failed to finish.
 class VerifyError : public Error {
  public:
   explicit VerifyError(std::string message) : Error(std::move(message)) {}
@@ -64,18 +59,6 @@ class VerifyError : public Error {
 class CycleBudgetError : public Error {
  public:
   explicit CycleBudgetError(std::string message) : Error(std::move(message)) {}
-};
-
-/// What the runner does when the parallel execution fails (deadlock,
-/// watchdog trip, verify mismatch, or any fault-induced error).
-struct FallbackPolicy {
-  /// Failed parallel runs are retried this many times with reseeded fault
-  /// schedules before falling back.  Retries are skipped when fault
-  /// injection is off (reruns would fail identically).
-  int max_retries = 2;
-  /// After the retry budget: degrade to the verified sequential execution
-  /// (true) or rethrow the failure (false).
-  bool fall_back_to_sequential = true;
 };
 
 struct RunConfig {
@@ -104,20 +87,10 @@ struct RunConfig {
   /// rejected, with cost-model attribution) are copied here.  Powers
   /// `fgparc --explain-select`.
   std::vector<compiler::CandidateReport>* candidate_reports_out = nullptr;
-  /// The single deterministic seed for the run: workload initialization and
-  /// each attempt's fault schedule derive from it (multi-version tuning is
-  /// already deterministic).  The default reproduces the historical
-  /// SequoiaInit workloads.
+  /// The single deterministic seed for the run: workload initialization
+  /// derives from it (multi-version tuning is already deterministic).  The
+  /// default reproduces the historical SequoiaInit workloads.
   std::uint64_t seed = 0x5EED;
-  /// Fault injection for the measured parallel machine (disabled by
-  /// default).  The golden model, the sequential baseline, and the tuning
-  /// evaluator always run fault-free: they are the trusted reference the
-  /// degraded parallel execution is judged against.  FaultConfig::seed is
-  /// ignored here; each attempt uses MixSeed(seed, attempt).
-  sim::FaultConfig faults;
-  /// Stall watchdog for simulated machines (0 = disabled; see
-  /// MachineConfig::stall_watchdog_cycles).
-  std::uint64_t stall_watchdog_cycles = 0;
   /// Pins every simulated machine to one run tier (see
   /// MachineConfig::force_tier; kAuto picks the fastest eligible tier).
   /// Results are bit-identical across tiers — this knob exists so
@@ -140,21 +113,19 @@ struct RunConfig {
   /// --cycle-budget).  Golden-model
   /// interpretation and multi-version tuning are never budgeted.
   std::uint64_t max_cycles = 0;
-  /// Observation hook invoked after each failed parallel attempt (before
-  /// any retry), with the failed machine still intact — used to capture a
-  /// state snapshot for repro bundles.  Hook errors propagate.
-  std::function<void(const sim::Machine& machine, const Error& error,
-                     int attempt)>
-      on_parallel_failure;
+  /// Observation hook invoked once, with the failed machine still intact,
+  /// when the measured sequential or parallel run or its verify throws;
+  /// the error then propagates out of Run.  Used to capture a state
+  /// snapshot for repro bundles.  Hook errors propagate instead.
+  std::function<void(const sim::Machine& machine, const Error& error)>
+      on_failure;
   /// Telemetry sink for the run (non-owning; null = off, keeping every
-  /// machine on the fast path).  When set: the parallel compile emits
-  /// pipeline/pass spans, and each measured parallel attempt emits sim
-  /// events through a StreamSink stamped with the attempt index, so
-  /// retries land on distinct trace lanes.  The golden model, the
-  /// sequential baseline, and the multi-version tuning runs stay untraced
-  /// — they are reference measurements, not the subject of the trace.
+  /// machine on the fast path).  When set, the parallel compile emits
+  /// pipeline/pass spans and the measured parallel run emits sim events.
+  /// The golden model, the sequential baseline, and the multi-version
+  /// tuning runs stay untraced — they are reference measurements, not the
+  /// subject of the trace.
   telemetry::TelemetrySink* telemetry = nullptr;
-  FallbackPolicy fallback;
 };
 
 struct KernelRun {
@@ -177,11 +148,10 @@ struct KernelRun {
   std::uint64_t par_queue_transfers = 0;
   int max_queue_occupancy = 0;  // high-water mark of any single queue
 
-  // Resilience diagnostics.
-  bool fallback_used = false;      // parallel failed; sequential numbers used
-  int retries = 0;                 // failed parallel attempts before success/fallback
-  std::string failure_reason;      // empty on a clean run
-  sim::FaultStats fault_stats;     // injected-fault counters (last attempt)
+  // Always false / empty: a failing run throws instead.  Kept only for
+  // the end-to-end benchmark's readers (bench/e2e).
+  bool fallback_used = false;
+  std::string failure_reason;
 
   // Trace translation/deopt counters, summed over the measured sequential
   // and parallel machines (sim.threaded.* in the registry; all zero unless
@@ -213,9 +183,9 @@ class KernelRunner {
  public:
   KernelRunner(const ir::Kernel& kernel, WorkloadInit init);
 
-  /// Runs the full pipeline for `config`.  Throws on golden/sequential
-  /// mismatches and compile errors; parallel-execution failures follow
-  /// config.fallback (by default they degrade to sequential, never throw).
+  /// Runs the full pipeline for `config`.  Throws on compile errors and on
+  /// any failure of the measured runs (deadlock, verify mismatch, cycle
+  /// budget, machine limits); config.on_failure sees the latter first.
   KernelRun Run(const RunConfig& config) const;
 
   /// Whole-kernel analytic prediction under `config` — no simulation.

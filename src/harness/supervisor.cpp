@@ -38,6 +38,11 @@ std::size_t CountFromEnv(const char* name) {
   return end != env && *end == '\0' ? static_cast<std::size_t>(value) : 0;
 }
 
+/// Payload version 1 carries six simulated-fault counters after
+/// failure_reason.  Nothing produces them any more; the slots are written
+/// as 0 and skipped on decode, so journals from older builds still resume.
+constexpr int kRetiredFaultCounters = 6;
+
 }  // namespace
 
 SweepSupervisor::SweepSupervisor(SupervisorConfig config)
@@ -171,14 +176,11 @@ std::string EncodeKernelRun(const KernelRun& run) {
   w.U64(run.par_queue_transfers);
   w.U32(static_cast<std::uint32_t>(run.max_queue_occupancy));
   w.Bool(run.fallback_used);
-  w.U32(static_cast<std::uint32_t>(run.retries));
+  w.U32(0);  // retries: always 0, the runner has one attempt
   w.Str(run.failure_reason);
-  w.U64(run.fault_stats.latency_jitters);
-  w.U64(run.fault_stats.jitter_cycles_added);
-  w.U64(run.fault_stats.enqueue_rejects);
-  w.U64(run.fault_stats.payload_flips);
-  w.U64(run.fault_stats.mem_inflations);
-  w.U64(run.fault_stats.core_freezes);
+  for (int i = 0; i < kRetiredFaultCounters; ++i) {
+    w.U64(0);
+  }
   const std::vector<std::uint8_t>& bytes = w.bytes();
   return std::string(bytes.begin(), bytes.end());
 }
@@ -205,14 +207,11 @@ KernelRun DecodeKernelRun(const std::string& payload) {
   run.par_queue_transfers = r.U64();
   run.max_queue_occupancy = static_cast<int>(r.U32());
   run.fallback_used = r.Bool();
-  run.retries = static_cast<int>(r.U32());
+  (void)r.U32();  // retries
   run.failure_reason = r.Str();
-  run.fault_stats.latency_jitters = r.U64();
-  run.fault_stats.jitter_cycles_added = r.U64();
-  run.fault_stats.enqueue_rejects = r.U64();
-  run.fault_stats.payload_flips = r.U64();
-  run.fault_stats.mem_inflations = r.U64();
-  run.fault_stats.core_freezes = r.U64();
+  for (int i = 0; i < kRetiredFaultCounters; ++i) {
+    (void)r.U64();
+  }
   r.CheckFullyConsumed();
   return run;
 }

@@ -10,8 +10,7 @@
 //    SweepOutcome instead of an exception; the sweep always runs to the
 //    end, and the caller decides pass/fail.  Each point runs once: the
 //    supervisor never reseeds or reruns a point, so a row always measures
-//    the workload its caller configured (the runner's own fault-schedule
-//    retry, FallbackPolicy, keeps the workload fixed);
+//    the workload its caller configured;
 //  * resume — completed points are journaled through SweepCheckpoint
 //    ("fgpar-ckpt-v1", atomic rename per point), so a sweep killed at any
 //    instant — including SIGKILL — resumes by replaying journaled
@@ -26,7 +25,7 @@
 // which is exactly what gets journaled.  Everything here is deterministic
 // except host wall-clock measurements.
 //
-// For tests and fault drills, FGPAR_SUPERVISOR_EXIT_AFTER=<n> makes the
+// For tests and the resume drill, FGPAR_SUPERVISOR_EXIT_AFTER=<n> makes the
 // supervisor raise SIGKILL after journaling n new points this run — a
 // reproducible stand-in for an external kill -9 mid-sweep.
 #pragma once

@@ -42,8 +42,8 @@ harness::RunConfig ToRunConfig(const ExperimentConfig& config);
 harness::KernelRun RunKernel(const SequoiaKernel& kernel,
                              const ExperimentConfig& config);
 
-/// Runs one kernel under a fully specified RunConfig (seed, faults, cycle
-/// budget, failure hooks, ...) — the entry point sweep supervision uses.
+/// Runs one kernel under a fully specified RunConfig (seed, cycle budget,
+/// failure hook, ...) — the entry point sweep supervision uses.
 harness::KernelRun RunKernel(const SequoiaKernel& kernel,
                              const harness::RunConfig& config);
 

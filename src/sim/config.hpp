@@ -12,7 +12,6 @@
 #include <string_view>
 
 #include "isa/opcode.hpp"
-#include "sim/fault.hpp"
 
 namespace fgpar::sim {
 
@@ -22,8 +21,8 @@ namespace fgpar::sim {
 /// they can carry.
 ///
 ///  * kAuto — the fast loop, which on a single-core machine also runs hot
-///            blocks as direct-threaded traces (sim/threaded.hpp).  Faults,
-///            telemetry, or the watchdog route the run to the slow loop.
+///            blocks as direct-threaded traces (sim/threaded.hpp).  A
+///            telemetry sink routes the run to the slow loop.
 ///  * kSlow — the instrumented reference loop (RunSlow).
 ///  * kFast — the predecoded fast loop (RunFast / RunFastSingle), never
 ///            the translator.
@@ -92,21 +91,12 @@ struct MachineConfig {
   std::uint64_t max_cycles = 1ull << 40;
   /// Depth limit of the per-core call stack.
   int call_stack_limit = 64;
-  /// Stall watchdog: if no core issues an instruction for this many cycles,
-  /// the machine throws a structured StallError (see machine.hpp) instead
-  /// of waiting for no_progress_limit / max_cycles.  0 disables the
-  /// watchdog.  Must be much larger than the longest legitimate no-issue
-  /// stretch (an L2 miss plus unpipelined latencies, a few hundred cycles).
-  std::uint64_t stall_watchdog_cycles = 0;
-  /// Deterministic fault injection (disabled by default; see sim/fault.hpp).
-  FaultConfig faults;
   /// Pins the run loop to one tier (see RunTier); kSlow forces the
   /// instrumented reference loop even when a faster tier is eligible.
   /// Results are bit-identical across tiers, so this knob exists for the
   /// tier-equivalence tests and the tier microbenchmarks, not for
-  /// correctness, and is excluded from the snapshot identity hash.
-  /// Instrumentation hooks (faults, telemetry, watchdog) always override it
-  /// toward the reference loop.
+  /// correctness, and is excluded from the snapshot identity hash.  A
+  /// telemetry sink always overrides it toward the reference loop.
   RunTier force_tier = RunTier::kAuto;
 };
 

@@ -78,15 +78,6 @@ int QueueMatrix::MaxOccupancy() const {
   return max_occupancy;
 }
 
-void QueueMatrix::SetFaultInjector(FaultInjector* faults) {
-  for (HardwareQueue& q : int_queues_) {
-    q.SetFaultInjector(faults);
-  }
-  for (HardwareQueue& q : fp_queues_) {
-    q.SetFaultInjector(faults);
-  }
-}
-
 std::uint64_t QueueMatrix::TotalTransfers() const {
   std::uint64_t total = 0;
   for (const HardwareQueue& q : int_queues_) {
@@ -109,7 +100,6 @@ void Core::Start(std::int64_t pc) {
   pc_ = pc;
   stalled_deq_remote_ = -1;
   stalled_enq_remote_ = -1;
-  stalled_enq_injected_ = false;
 }
 
 bool Core::stalled_on_deq(int& remote, bool& is_fp) const {
@@ -230,11 +220,9 @@ std::uint64_t Core::SourcesReadyAt(const Instruction& instr) const {
 }
 
 StepOutcome Core::Step(std::uint64_t now, const isa::Program& program,
-                       MemorySystem& memory, QueueMatrix& queues,
-                       FaultInjector* faults) {
+                       MemorySystem& memory, QueueMatrix& queues) {
   stalled_deq_remote_ = -1;
   stalled_enq_remote_ = -1;
-  stalled_enq_injected_ = false;
   if (!started_) {
     return StepOutcome::kIdle;
   }
@@ -265,15 +253,6 @@ StepOutcome Core::Step(std::uint64_t now, const isa::Program& program,
     if (!q.CanEnqueue()) {
       stalled_enq_remote_ = instr.queue;
       stalled_enq_fp_ = isa::IsFpQueueOp(instr.op);
-      return StepOutcome::kStallEnqFull;
-    }
-    if (faults != nullptr && faults->enabled() && faults->RejectEnqueue()) {
-      // Transient flow-control fault: stall exactly like a full queue, but
-      // flag it so the machine schedules a retry next cycle (the queue has
-      // space; no peer needs to make progress first).
-      stalled_enq_remote_ = instr.queue;
-      stalled_enq_fp_ = isa::IsFpQueueOp(instr.op);
-      stalled_enq_injected_ = true;
       return StepOutcome::kStallEnqFull;
     }
   } else if (isa::IsDequeue(instr.op)) {
@@ -507,7 +486,6 @@ StepOutcome Core::StepFast(std::uint64_t now, const DecodedProgram& program,
                            MemorySystem& memory, QueueMatrix& queues) {
   stalled_deq_remote_ = -1;
   stalled_enq_remote_ = -1;
-  stalled_enq_injected_ = false;
   const DecodedInstruction& di = program.at(pc_);
 
   // Register scoreboard over the predecoded source lists.

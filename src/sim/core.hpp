@@ -58,9 +58,6 @@ class QueueMatrix {
   /// uses.
   int MaxOccupancy() const;
 
-  /// Installs the fault injector on every queue (nullptr to clear).
-  void SetFaultInjector(FaultInjector* faults);
-
   /// Serializes/restores every queue's state.  Defined in sim/snapshot.cpp.
   void SaveState(ByteWriter& w) const;
   void LoadState(ByteReader& r);
@@ -111,20 +108,16 @@ class Core {
   std::int64_t pc() const { return pc_; }
   int id() const { return id_; }
 
-  /// Attempts to issue one instruction at cycle `now`.  `faults`, when
-  /// non-null and enabled, may transiently reject an enqueue (the core
-  /// stalls as if the queue were full and retries next cycle).
+  /// Attempts to issue one instruction at cycle `now`.
   StepOutcome Step(std::uint64_t now, const isa::Program& program,
-                   MemorySystem& memory, QueueMatrix& queues,
-                   FaultInjector* faults = nullptr);
+                   MemorySystem& memory, QueueMatrix& queues);
 
-  /// Fast-path issue attempt against a predecoded program: no fault hooks,
-  /// no per-issue opcode re-classification.  The caller (Machine's fast
-  /// run loop) must guarantee the core is started, not halted, and its
-  /// issue stage is free (next_issue_cycle() <= now); Step's corresponding
-  /// early-outs are deliberately absent here.  Timing and functional
-  /// behaviour are bit-identical to Step without faults — the golden cycle
-  /// tests lock this equivalence.
+  /// Fast-path issue attempt against a predecoded program: no per-issue
+  /// opcode re-classification.  The caller (Machine's fast run loop) must
+  /// guarantee the core is started, not halted, and its issue stage is
+  /// free (next_issue_cycle() <= now); Step's corresponding early-outs are
+  /// deliberately absent here.  Timing and functional behaviour are
+  /// bit-identical to Step — the golden cycle tests lock this equivalence.
   StepOutcome StepFast(std::uint64_t now, const DecodedProgram& program,
                        MemorySystem& memory, QueueMatrix& queues);
 
@@ -138,11 +131,6 @@ class Core {
   /// When the core is stalled on an enqueue, identifies the destination
   /// core and register class (for stall/deadlock reports).
   bool stalled_on_enq(int& remote, bool& is_fp) const;
-
-  /// True if the last enqueue stall was injected by the fault injector
-  /// rather than a genuinely full queue; the machine must then schedule a
-  /// retry event instead of treating the core as dependent on its peer.
-  bool last_enq_stall_injected() const { return stalled_enq_injected_; }
 
   // ---- architectural state (tests / harness) ----
   std::int64_t gpr(int index) const;
@@ -198,7 +186,6 @@ class Core {
   bool stalled_deq_fp_ = false;
   int stalled_enq_remote_ = -1;
   bool stalled_enq_fp_ = false;
-  bool stalled_enq_injected_ = false;
   CoreStats stats_;
 };
 

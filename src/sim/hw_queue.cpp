@@ -33,12 +33,8 @@ void HardwareQueue::Enqueue(std::uint64_t payload, std::uint64_t now) {
                       std::to_string(capacity_) + ", occupancy " +
                       std::to_string(slots_.size()) + ", " +
                       std::to_string(InFlight(now)) + " in flight)");
-  int latency = transfer_latency_;
-  if (faults_ != nullptr && faults_->enabled()) {
-    payload = faults_->PerturbPayload(payload);
-    latency = faults_->PerturbTransferLatency(latency);
-  }
-  slots_.push_back(Slot{payload, now + static_cast<std::uint64_t>(latency)});
+  slots_.push_back(
+      Slot{payload, now + static_cast<std::uint64_t>(transfer_latency_)});
   max_occupancy_ = std::max(max_occupancy_, static_cast<int>(slots_.size()));
 }
 

@@ -17,16 +17,10 @@
 // Enqueue/Dequeue enforce their preconditions (CanEnqueue/CanDequeue) with
 // diagnostic FGPAR_CHECK_MSG failures that describe the queue state, so
 // caller bugs throw instead of silently corrupting FIFO state.
-//
-// An optional FaultInjector (sim/fault.hpp) may perturb transfers: latency
-// jitter delays a value's arrival and a payload bit may flip in transit.
-// Both hooks cost one null/enabled check when injection is off.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-
-#include "sim/fault.hpp"
 
 namespace fgpar {
 class ByteReader;
@@ -66,10 +60,6 @@ class HardwareQueue {
   /// where the head becomes visible.
   std::uint64_t HeadArrival() const { return slots_.front().arrival_cycle; }
 
-  /// Installs (or clears, with nullptr) the fault injector consulted on
-  /// every enqueue for latency jitter and payload corruption.
-  void SetFaultInjector(FaultInjector* faults) { faults_ = faults; }
-
   /// Lifetime statistics.
   std::uint64_t total_transfers() const { return total_transfers_; }
   int max_occupancy() const { return max_occupancy_; }
@@ -88,7 +78,6 @@ class HardwareQueue {
   int capacity_;
   int transfer_latency_;
   std::deque<Slot> slots_;
-  FaultInjector* faults_ = nullptr;
   std::uint64_t total_transfers_ = 0;
   int max_occupancy_ = 0;
 };

@@ -16,13 +16,7 @@ int PhysicalCoreCount(const MachineConfig& config) {
 
 std::string StallReport::Describe() const {
   std::ostringstream os;
-  if (provable_deadlock) {
-    os << "hardware queue deadlock at cycle " << cycle;
-  } else {
-    os << "stall watchdog tripped at cycle " << cycle
-       << " (no instruction issued for " << stalled_cycles << " cycles)";
-  }
-  os << ":\n";
+  os << "hardware queue deadlock at cycle " << cycle << ":\n";
   for (const CoreState& c : cores) {
     os << "  " << c.detail;
     switch (c.wait) {
@@ -35,9 +29,6 @@ std::string StallReport::Describe() const {
         os << " -- blocked enqueuing to " << (c.queue_is_fp ? "fp" : "int")
            << " queue " << c.core << "->" << c.remote_core << " (occupancy "
            << c.queue_occupancy << ", " << c.queue_in_flight << " in flight)";
-        break;
-      case CoreState::Wait::kFrozen:
-        os << " -- frozen until cycle " << c.frozen_until;
         break;
       case CoreState::Wait::kNone:
         break;
@@ -57,17 +48,11 @@ Machine::Machine(MachineConfig config, isa::Program program)
     : config_(config),
       program_(std::move(program)),
       memory_(config.cache, PhysicalCoreCount(config), config.memory_words),
-      queues_(config.num_cores, config.queue),
-      injector_(config.faults),
-      frozen_until_(static_cast<std::size_t>(config.num_cores), 0) {
+      queues_(config.num_cores, config.queue) {
   FGPAR_CHECK(config_.num_cores >= 1);
   cores_.reserve(static_cast<std::size_t>(config_.num_cores));
   for (int c = 0; c < config_.num_cores; ++c) {
     cores_.emplace_back(c, config_, c / config_.threads_per_core);
-  }
-  if (injector_.enabled()) {
-    memory_.SetFaultInjector(&injector_);
-    queues_.SetFaultInjector(&injector_);
   }
 }
 
@@ -140,11 +125,9 @@ PauseResult Machine::RunUntil(std::uint64_t stop_cycle) {
 }
 
 RunTier Machine::resolved_tier() const {
-  // Instrumentation hooks always win: the reference loop is the only one
-  // that carries fault injection, the watchdog, and the sim-event sink.
-  if (injector_.enabled() || telemetry_ != nullptr ||
-      config_.stall_watchdog_cycles > 0 ||
-      config_.force_tier == RunTier::kSlow) {
+  // A sink always wins: the reference loop is the only one that carries
+  // the sim-event sink.
+  if (telemetry_ != nullptr) {
     return RunTier::kSlow;
   }
   return config_.force_tier;
@@ -172,8 +155,7 @@ PauseResult Machine::RunSlow() {
   // `outcomes_` is only cleared once per Run, not once per cycle: a slot is
   // rewritten whenever its core is evaluated, and stale slots are only ever
   // read in the fast-forward accounting below, which runs when *no* core
-  // issued — a cycle in which every active core was evaluated.  The two
-  // skip paths (frozen cores) write kIdle explicitly to keep the invariant.
+  // issued — a cycle in which every active core was evaluated.
   outcomes_.assign(cores_.size(), StepOutcome::kIdle);
   std::vector<StepOutcome>& outcomes = outcomes_;
   const int tpc = config_.threads_per_core;
@@ -195,23 +177,8 @@ PauseResult Machine::RunSlow() {
       bool slot_taken = false;
       for (int k = 0; k < count && !slot_taken; ++k) {
         const std::size_t c = static_cast<std::size_t>(base + (start + k) % count);
-        if (injector_.enabled() && cores_[c].started() && !cores_[c].halted()) {
-          if (frozen_until_[c] > now_) {
-            outcomes[c] = StepOutcome::kIdle;
-            TelemetryStall(c, telemetry::StallCause::kFrozen);
-            continue;  // frozen core: no issue attempt, slot stays free
-          }
-          if (injector_.ShouldFreezeCore()) {
-            frozen_until_[c] =
-                now_ + static_cast<std::uint64_t>(injector_.freeze_cycles());
-            outcomes[c] = StepOutcome::kIdle;
-            TelemetryStall(c, telemetry::StallCause::kFrozen);
-            continue;
-          }
-        }
         const std::int64_t pc_before = cores_[c].pc();
-        outcomes[c] = cores_[c].Step(now_, program_, memory_, queues_,
-                                     injector_.enabled() ? &injector_ : nullptr);
+        outcomes[c] = cores_[c].Step(now_, program_, memory_, queues_);
         switch (outcomes[c]) {
           case StepOutcome::kIssued:
             issued_any = true;
@@ -250,12 +217,6 @@ PauseResult Machine::RunSlow() {
       ++now_;
       continue;
     }
-    if (config_.stall_watchdog_cycles > 0 &&
-        now_ - last_issue_cycle_ >= config_.stall_watchdog_cycles) {
-      TelemetryCloseStalls();  // the terminal stall must appear in traces
-      throw StallError(BuildStallReport(now_ - last_issue_cycle_,
-                                        /*provable_deadlock=*/false));
-    }
     FGPAR_CHECK_MSG(now_ - last_issue_cycle_ < config_.no_progress_limit,
                     "no core issued for no_progress_limit cycles");
 
@@ -264,11 +225,6 @@ PauseResult Machine::RunSlow() {
     for (std::size_t c = 0; c < cores_.size(); ++c) {
       const Core& core = cores_[c];
       if (!core.started() || core.halted()) {
-        continue;
-      }
-      if (frozen_until_[c] > now_) {
-        // A frozen core resumes on its own; its unfreeze is an event.
-        next_event = std::min(next_event, frozen_until_[c]);
         continue;
       }
       if (core.next_issue_cycle() > now_) {
@@ -288,12 +244,6 @@ PauseResult Machine::RunSlow() {
           next_event = std::min(next_event, now_ + 1);
         }
       }
-      if (outcomes[c] == StepOutcome::kStallEnqFull &&
-          core.last_enq_stall_injected()) {
-        // The stall was a transient injected rejection, not a full queue;
-        // the core retries next cycle without waiting on any peer.
-        next_event = std::min(next_event, now_ + 1);
-      }
       // Cores stalled on a full queue (or an empty queue with nothing in
       // flight) depend on another core's progress; they contribute no event
       // of their own.
@@ -301,14 +251,7 @@ PauseResult Machine::RunSlow() {
 
     if (next_event == kNoEvent) {
       TelemetryCloseStalls();  // the terminal stall must appear in traces
-      throw DeadlockError(BuildStallReport(now_ - last_issue_cycle_,
-                                           /*provable_deadlock=*/true));
-    }
-    if (config_.stall_watchdog_cycles > 0) {
-      // Never fast-forward past the watchdog deadline: land on it so the
-      // check above can fire if the stall persists.
-      next_event = std::min(next_event,
-                            last_issue_cycle_ + config_.stall_watchdog_cycles);
+      throw DeadlockError(BuildStallReport());
     }
     // Account the skipped cycles as queue-stall time where applicable.
     const std::uint64_t skipped = next_event - now_;
@@ -326,14 +269,14 @@ PauseResult Machine::RunSlow() {
 }
 
 PauseResult Machine::RunFast() {
-  // Fast path: no fault injection, no watchdog, no trace sink.  The loop
-  // mirrors RunSlow cycle-for-cycle — same SMT slot arbitration, same
-  // intra-cycle core order, same fast-forward events, same stall
-  // accounting — but (a) issues through the predecoded instruction cache
-  // and (b) skips the full issue attempt for cores that provably cannot
-  // issue this cycle: pipeline-busy cores and cores still blocked on the
-  // same queue condition that stalled them last evaluation.  A skipped
-  // blocked core costs two loads and a compare instead of a Step call.
+  // Fast path: no trace sink.  The loop mirrors RunSlow cycle-for-cycle —
+  // same SMT slot arbitration, same intra-cycle core order, same
+  // fast-forward events, same stall accounting — but (a) issues through
+  // the predecoded instruction cache and (b) skips the full issue attempt
+  // for cores that provably cannot issue this cycle: pipeline-busy cores
+  // and cores still blocked on the same queue condition that stalled them
+  // last evaluation.  A skipped blocked core costs two loads and a compare
+  // instead of a Step call.
   //
   // The skip is sound because a queue-stalled core's state is frozen until
   // its queue condition changes: its pc is unchanged, its source operands
@@ -431,14 +374,12 @@ PauseResult Machine::RunFast() {
                     "no core issued for no_progress_limit cycles");
 
     // No core issued: fast-forward to the next event (same event model as
-    // RunSlow minus the fault-only cases — no frozen cores and no injected
-    // enqueue rejections exist on this path).  Unlike the reference loop,
-    // which advances one cycle at a time while any dequeue-blocked queue
-    // has a value in flight, this loop jumps straight to the head's
-    // arrival: nothing can issue in between (queue contents are frozen
-    // while no core issues, and every pipeline-free cycle is in the event
-    // set), so the only observable difference is the stall accounting,
-    // compensated for exactly below.
+    // RunSlow).  Unlike the reference loop, which advances one cycle at a
+    // time while any dequeue-blocked queue has a value in flight, this loop
+    // jumps straight to the head's arrival: nothing can issue in between
+    // (queue contents are frozen while no core issues, and every
+    // pipeline-free cycle is in the event set), so the only observable
+    // difference is the stall accounting, compensated for exactly below.
     std::uint64_t next_event = kNoEvent;
     bool crawl = false;  // would the reference loop advance cycle-by-cycle?
     for (std::size_t c = 0; c < cores_.size(); ++c) {
@@ -467,8 +408,7 @@ PauseResult Machine::RunFast() {
     }
 
     if (next_event == kNoEvent) {
-      throw DeadlockError(BuildStallReport(now_ - last_issue_cycle_,
-                                           /*provable_deadlock=*/true));
+      throw DeadlockError(BuildStallReport());
     }
     // Stall accounting, matched to the reference loop.  Jumping k cycles
     // with no in-flight value pending charges each stalled core k (one per
@@ -666,12 +606,10 @@ void Machine::TelemetryIssue(std::size_t core_index, std::int64_t pc) {
   telemetry_->OnSim(queue_event);
 }
 
-StallReport Machine::BuildStallReport(std::uint64_t stalled_cycles,
-                                      bool provable_deadlock) const {
+StallReport Machine::BuildStallReport() const {
   StallReport report;
   report.cycle = now_;
-  report.stalled_cycles = stalled_cycles;
-  report.provable_deadlock = provable_deadlock;
+  report.stalled_cycles = now_ - last_issue_cycle_;
   for (const Core& c : cores_) {
     StallReport::CoreState state;
     state.core = c.id();
@@ -681,10 +619,7 @@ StallReport Machine::BuildStallReport(std::uint64_t stalled_cycles,
     state.detail = c.Describe(program_);
     int remote = -1;
     bool is_fp = false;
-    if (frozen_until_[static_cast<std::size_t>(c.id())] > now_) {
-      state.wait = StallReport::CoreState::Wait::kFrozen;
-      state.frozen_until = frozen_until_[static_cast<std::size_t>(c.id())];
-    } else if (c.stalled_on_deq(remote, is_fp)) {
+    if (c.stalled_on_deq(remote, is_fp)) {
       state.wait = StallReport::CoreState::Wait::kDeqEmpty;
       state.remote_core = remote;
       state.queue_is_fp = is_fp;

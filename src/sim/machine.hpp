@@ -1,23 +1,12 @@
 // The whole simulated machine: N cores, shared memory, queue matrix.
 //
 // The machine steps all cores in lockstep cycles.  When no core can issue
-// in a cycle, time fast-forwards to the next event (pipeline free, queue
-// arrival, or core unfreeze); if no future event exists the machine is
-// provably deadlocked and a DeadlockError describing every core is thrown —
-// this catches compiler bugs that break the paper's "senders and receivers
-// are always paired at runtime" requirement immediately instead of hanging.
-//
-// Two softer failure-containment mechanisms layer on top (both off by
-// default, with zero effect on the fast path):
-//
-//  * a stall watchdog (MachineConfig::stall_watchdog_cycles): if no core
-//    issues for that many cycles — even though future events still exist,
-//    e.g. under injected faults — a StallError carrying a structured
-//    StallReport fires long before max_cycles;
-//  * deterministic fault injection (MachineConfig::faults): the machine
-//    owns a FaultInjector shared by the queues, the memory system, and its
-//    own core-stepping loop (core freezes), so degraded-hardware behaviour
-//    is reproducible from one seed.
+// in a cycle, time fast-forwards to the next event (pipeline free or queue
+// arrival); if no future event exists the machine is provably deadlocked
+// and a DeadlockError describing every core is thrown — this catches
+// compiler bugs that break the paper's "senders and receivers are always
+// paired at runtime" requirement immediately instead of hanging.  Like
+// the paper's hardware, no simulated component ever fails on its own.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +18,6 @@
 #include "sim/config.hpp"
 #include "sim/core.hpp"
 #include "sim/decoded.hpp"
-#include "sim/fault.hpp"
 #include "sim/memory.hpp"
 #include "sim/threaded.hpp"
 #include "support/error.hpp"
@@ -37,13 +25,11 @@
 
 namespace fgpar::sim {
 
-/// Structured snapshot of a wedged (or suspiciously quiet) machine: which
-/// core is blocked where, on which queue, and what is in flight.  Produced
-/// for both provable deadlocks and watchdog trips.
+/// Structured snapshot of a deadlocked machine: which core is blocked
+/// where, on which queue, and what is in flight.
 struct StallReport {
   std::uint64_t cycle = 0;           // when the report was taken
   std::uint64_t stalled_cycles = 0;  // cycles since the last issue
-  bool provable_deadlock = false;    // true: no future event exists
 
   struct CoreState {
     int core = -1;
@@ -51,13 +37,12 @@ struct StallReport {
     bool halted = false;
     std::int64_t pc = 0;
     std::string detail;  // "core N: pc=.. [disasm] ; comment"
-    enum class Wait { kNone, kDeqEmpty, kEnqFull, kFrozen } wait = Wait::kNone;
+    enum class Wait { kNone, kDeqEmpty, kEnqFull } wait = Wait::kNone;
     // For kDeqEmpty/kEnqFull: the other end of the blocking queue.
     int remote_core = -1;
     bool queue_is_fp = false;
     int queue_occupancy = 0;
     int queue_in_flight = 0;  // enqueued but not yet arrived
-    std::uint64_t frozen_until = 0;  // for kFrozen
   };
   std::vector<CoreState> cores;
 
@@ -71,7 +56,7 @@ struct StallReport {
   };
   std::vector<QueueState> queues;  // non-empty queues only
 
-  /// Human-readable rendering (the text of DeadlockError/StallError).
+  /// Human-readable rendering (the text of DeadlockError).
   std::string Describe() const;
 };
 
@@ -79,19 +64,6 @@ struct StallReport {
 class DeadlockError : public Error {
  public:
   explicit DeadlockError(StallReport report)
-      : Error(report.Describe()), report_(std::move(report)) {}
-  const StallReport& report() const { return report_; }
-
- private:
-  StallReport report_;
-};
-
-/// Thrown when the stall watchdog fires: no core has issued for
-/// stall_watchdog_cycles, but future events may still exist (the stall may
-/// be fault-induced or livelock-like rather than provable deadlock).
-class StallError : public Error {
- public:
-  explicit StallError(StallReport report)
       : Error(report.Describe()), report_(std::move(report)) {}
   const StallReport& report() const { return report_; }
 
@@ -116,9 +88,8 @@ struct PauseResult {
 class Machine {
  public:
   Machine(MachineConfig config, isa::Program program);
-  /// Each core keeps a reference to config_, and the memory system and
-  /// queues keep a pointer to injector_, so a machine stays where it was
-  /// built: no copies, no moves.
+  /// Each core keeps a reference to config_, so a machine stays where it
+  /// was built: no copies, no moves.
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;
 
@@ -127,24 +98,22 @@ class Machine {
   void StartCoreAtPc(int core, std::int64_t pc);
 
   /// Runs until every started core halts.  Throws DeadlockError on queue
-  /// deadlock, StallError on a watchdog trip, and Error if config limits
-  /// are exceeded.
+  /// deadlock and Error if config limits are exceeded.
   ///
   /// Three run tiers exist behind this call (docs/INTERNALS.md §12).  The
   /// *fast tier* steps against the predecoded instruction cache (built
   /// lazily, once per Machine) and skips cores that provably cannot issue
-  /// this cycle.  The *auto tier* (the default when no instrumentation is
-  /// attached) is the fast tier plus, on a single-core machine, the
+  /// this cycle.  The *auto tier* (the default when no telemetry sink is
+  /// installed) is the fast tier plus, on a single-core machine, the
   /// direct-threaded block translator (sim/threaded.hpp), which compiles
   /// hot basic blocks into computed-goto traces.  The *slow tier* is the
   /// reference implementation: it polls every core every cycle and
-  /// carries the fault injector, the stall watchdog, and the telemetry
-  /// sink; it is used iff fault injection is enabled,
-  /// stall_watchdog_cycles > 0, or a telemetry sink is installed.
-  /// MachineConfig::force_tier pins the choice for equivalence tests and
-  /// benchmarks (instrumentation still wins).  Simulated cycle counts,
-  /// final memory, and per-core statistics are bit-identical across all
-  /// tiers (tests/sim_golden_test.cpp, tests/sim_threaded_test.cpp).
+  /// carries the telemetry sink; it is used iff a telemetry sink is
+  /// installed or MachineConfig::force_tier is kSlow.  force_tier pins the
+  /// choice for equivalence tests and benchmarks (a sink still wins).
+  /// Simulated cycle counts, final memory, and per-core statistics are
+  /// bit-identical across all tiers (tests/sim_golden_test.cpp,
+  /// tests/sim_threaded_test.cpp).
   RunResult Run();
 
   /// Like Run, but pauses once now() reaches `stop_cycle`.  The pause
@@ -159,14 +128,13 @@ class Machine {
 
   /// Serializes the complete mutable machine state — cycle clock, cores
   /// (registers, scoreboards, call stacks, stall latches, statistics),
-  /// queue contents, functional memory, cache timing state, fault-injector
-  /// RNG position, and run-loop bookkeeping — as a versioned, host-
-  /// independent byte stream ("fgpar-snap-v1").  The stream embeds an
-  /// identity hash of the program and MachineConfig; Restore into a
-  /// machine built from anything else is rejected.  The decoded
-  /// instruction cache is intentionally not serialized: it is a pure
-  /// function of (program, timing), both covered by the identity hash, and
-  /// is rebuilt lazily after Restore.
+  /// queue contents, functional memory, cache timing state, and run-loop
+  /// bookkeeping — as a versioned, host-independent byte stream
+  /// ("fgpar-snap-v2").  The stream embeds an identity hash of the program
+  /// and MachineConfig; Restore into a machine built from anything else is
+  /// rejected.  The decoded instruction cache is intentionally not
+  /// serialized: it is a pure function of (program, timing), both covered
+  /// by the identity hash, and is rebuilt lazily after Restore.
   std::vector<std::uint8_t> Snapshot() const;
 
   /// Restores state from a Snapshot byte stream.  Throws fgpar::Error on a
@@ -190,8 +158,8 @@ class Machine {
   void SetTelemetry(telemetry::TelemetrySink* sink) { telemetry_ = sink; }
   telemetry::TelemetrySink* telemetry() const { return telemetry_; }
 
-  /// The tier RunUntil would use right now: kSlow when an instrumentation
-  /// hook is active, otherwise MachineConfig::force_tier.
+  /// The tier RunUntil would use right now: kSlow when a telemetry sink is
+  /// installed, otherwise MachineConfig::force_tier.
   RunTier resolved_tier() const;
 
   /// Translator/executor observability for the auto tier's traces.  Derived
@@ -208,13 +176,11 @@ class Machine {
   const QueueMatrix& queues() const { return queues_; }
   const isa::Program& program() const { return program_; }
   const MachineConfig& config() const { return config_; }
-  const FaultInjector& fault_injector() const { return injector_; }
 
  private:
-  /// Snapshot of every core's blocking state plus queue occupancy, shared
-  /// by the deadlock describer and the stall watchdog.
-  StallReport BuildStallReport(std::uint64_t stalled_cycles,
-                               bool provable_deadlock) const;
+  /// Snapshot of every core's blocking state plus queue occupancy, for
+  /// the DeadlockError both run loops throw.
+  StallReport BuildStallReport() const;
 
   /// Fast run loop for multi-core machines: predecoded dispatch,
   /// issue-skip for blocked cores, no instrumentation hooks.  Bit-identical
@@ -228,8 +194,8 @@ class Machine {
   /// cross-core trace execution unsound for bit-identity.  Bit-identical
   /// to RunSlow either way.
   PauseResult RunFastSingle(bool traced);
-  /// Reference run loop: polls every core every cycle; carries fault
-  /// injection, the stall watchdog, and the telemetry sink.
+  /// Reference run loop: polls every core every cycle; carries the
+  /// telemetry sink.
   PauseResult RunSlow();
   /// Telemetry stall-interval tracking (no-ops unless a sink is
   /// installed): records per-core open stalls and emits
@@ -238,7 +204,7 @@ class Machine {
   /// Closes `core`'s open stall (the core issued, or the run is ending).
   void TelemetryStallEnd(std::size_t core);
   /// Closes every open stall at now_ (called before throwing a
-  /// deadlock/watchdog error so terminal stalls appear in traces).
+  /// DeadlockError so terminal stalls appear in traces).
   void TelemetryCloseStalls();
   /// Emits the issue event (plus the queue event for enq/deq ops) for the
   /// instruction at `pc` that core `core` just issued.
@@ -255,11 +221,9 @@ class Machine {
   MemorySystem memory_;
   QueueMatrix queues_;
   std::vector<Core> cores_;
-  FaultInjector injector_;
-  std::vector<std::uint64_t> frozen_until_;  // per core; 0 = not frozen
   std::uint64_t now_ = 0;
   // Run-loop bookkeeping, promoted to members (and into snapshots) so a
-  // paused machine resumes with the same watchdog phase and core-0 halt
+  // paused machine resumes with the same no-progress count and core-0 halt
   // record as an uninterrupted run.  Reset at Run entry unless resuming
   // from a pause.
   std::uint64_t last_issue_cycle_ = 0;

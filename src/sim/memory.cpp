@@ -119,21 +119,16 @@ int MemorySystem::AccessTimed(int core, std::uint64_t addr, bool is_write) {
       }
     }
   }
-  int latency;
   if (l1_[static_cast<std::size_t>(core)].Access(addr)) {
     ++l1_hits_;
-    latency = config_.l1_latency;
-  } else if (l2_.Access(addr)) {
+    return config_.l1_latency;
+  }
+  if (l2_.Access(addr)) {
     ++l2_hits_;
-    latency = config_.l2_latency;
-  } else {
-    ++misses_;
-    latency = config_.mem_latency;
+    return config_.l2_latency;
   }
-  if (faults_ != nullptr && faults_->enabled()) {
-    latency = faults_->PerturbMemoryLatency(latency);
-  }
-  return latency;
+  ++misses_;
+  return config_.mem_latency;
 }
 
 void MemorySystem::ClearCaches() {

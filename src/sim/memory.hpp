@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "sim/config.hpp"
-#include "sim/fault.hpp"
 
 namespace fgpar {
 class ByteReader;
@@ -84,10 +83,6 @@ class MemorySystem {
   /// Resets cache timing state (not functional memory).
   void ClearCaches();
 
-  /// Installs (or clears, with nullptr) the fault injector consulted by
-  /// AccessTimed for latency inflation.  Functional state is never faulted.
-  void SetFaultInjector(FaultInjector* faults) { faults_ = faults; }
-
   // ---- statistics ----
   std::uint64_t l1_hits() const { return l1_hits_; }
   std::uint64_t l2_hits() const { return l2_hits_; }
@@ -105,7 +100,6 @@ class MemorySystem {
   std::vector<std::uint64_t> words_;
   std::vector<CacheTagArray> l1_;  // one per core
   CacheTagArray l2_;
-  FaultInjector* faults_ = nullptr;
   std::uint64_t l1_hits_ = 0;
   std::uint64_t l2_hits_ = 0;
   std::uint64_t misses_ = 0;

@@ -1,14 +1,14 @@
-// Machine state serialization ("fgpar-snap-v1").
+// Machine state serialization ("fgpar-snap-v2").
 //
 // Everything mutable travels in the snapshot: the cycle clock, each core's
 // architectural and timing state, queue contents (payloads and arrival
-// cycles), functional memory, cache tag/LRU state, hit counters, the fault
-// injector's RNG position and counters, and the run-loop bookkeeping that
-// makes pause/resume bit-identical to an uninterrupted run.  Everything
-// *immutable* — the program and the MachineConfig — is instead folded into
-// an identity hash embedded in the stream: Restore refuses to load a
-// snapshot into a machine built from a different program or configuration,
-// because the state would be silently meaningless there.
+// cycles), functional memory, cache tag/LRU state, hit counters, and the
+// run-loop bookkeeping that makes pause/resume bit-identical to an
+// uninterrupted run.  Everything *immutable* — the program and the
+// MachineConfig — is instead folded into an identity hash embedded in the
+// stream: Restore refuses to load a snapshot into a machine built from a
+// different program or configuration, because the state would be silently
+// meaningless there.
 //
 // The decoded instruction cache is deliberately absent: it is a pure
 // function of (program, timing), both covered by the identity, and is
@@ -22,7 +22,7 @@ namespace fgpar::sim {
 
 namespace {
 constexpr const char kSnapshotMagic[] = "fgpar-snap";
-constexpr std::uint32_t kSnapshotVersion = 1;
+constexpr std::uint32_t kSnapshotVersion = 2;
 
 void SaveStats(ByteWriter& w, const CoreStats& s) {
   w.U64(s.instructions);
@@ -74,16 +74,6 @@ void HashConfig(ByteWriter& w, const MachineConfig& c) {
   w.U64(c.no_progress_limit);
   w.U64(c.max_cycles);
   w.U32(static_cast<std::uint32_t>(c.call_stack_limit));
-  w.U64(c.stall_watchdog_cycles);
-  w.U64(c.faults.seed);
-  w.F64(c.faults.queue_jitter_prob);
-  w.U32(static_cast<std::uint32_t>(c.faults.queue_jitter_max_cycles));
-  w.F64(c.faults.queue_reject_prob);
-  w.F64(c.faults.payload_flip_prob);
-  w.F64(c.faults.mem_fault_prob);
-  w.U32(static_cast<std::uint32_t>(c.faults.mem_fault_extra_cycles));
-  w.F64(c.faults.core_freeze_prob);
-  w.U32(static_cast<std::uint32_t>(c.faults.core_freeze_cycles));
   // force_tier is deliberately NOT hashed: results are bit-identical
   // across run tiers, so a snapshot taken under one tier must restore
   // into a machine pinned to another (tests/sim_threaded_test.cpp).
@@ -136,7 +126,6 @@ void Core::SaveState(ByteWriter& w) const {
   w.Bool(stalled_deq_fp_);
   w.I64(stalled_enq_remote_);
   w.Bool(stalled_enq_fp_);
-  w.Bool(stalled_enq_injected_);
   SaveStats(w, stats_);
 }
 
@@ -170,7 +159,6 @@ void Core::LoadState(ByteReader& r) {
   stalled_deq_fp_ = r.Bool();
   stalled_enq_remote_ = static_cast<int>(r.I64());
   stalled_enq_fp_ = r.Bool();
-  stalled_enq_injected_ = r.Bool();
   LoadStats(r, stats_);
 }
 
@@ -278,32 +266,6 @@ void MemorySystem::LoadState(ByteReader& r) {
   misses_ = r.U64();
 }
 
-void FaultInjector::SaveState(ByteWriter& w) const {
-  for (const std::uint64_t word : rng_.state()) {
-    w.U64(word);
-  }
-  w.U64(stats_.latency_jitters);
-  w.U64(stats_.jitter_cycles_added);
-  w.U64(stats_.enqueue_rejects);
-  w.U64(stats_.payload_flips);
-  w.U64(stats_.mem_inflations);
-  w.U64(stats_.core_freezes);
-}
-
-void FaultInjector::LoadState(ByteReader& r) {
-  std::array<std::uint64_t, 4> state;
-  for (std::uint64_t& word : state) {
-    word = r.U64();
-  }
-  rng_.set_state(state);
-  stats_.latency_jitters = r.U64();
-  stats_.jitter_cycles_added = r.U64();
-  stats_.enqueue_rejects = r.U64();
-  stats_.payload_flips = r.U64();
-  stats_.mem_inflations = r.U64();
-  stats_.core_freezes = r.U64();
-}
-
 // ---------------------------------------------------------------------------
 // Machine
 
@@ -324,14 +286,12 @@ std::vector<std::uint8_t> Machine::Snapshot() const {
   w.U64(last_issue_cycle_);
   w.Bool(core0_halt_recorded_);
   w.U64(core0_halt_cycle_);
-  w.U64Vec(frozen_until_);
   w.U64(cores_.size());
   for (const Core& c : cores_) {
     c.SaveState(w);
   }
   memory_.SaveState(w);
   queues_.SaveState(w);
-  injector_.SaveState(w);
   return w.Take();
 }
 
@@ -357,10 +317,6 @@ void Machine::Restore(const std::vector<std::uint8_t>& bytes) {
   last_issue_cycle_ = r.U64();
   core0_halt_recorded_ = r.Bool();
   core0_halt_cycle_ = r.U64();
-  std::vector<std::uint64_t> frozen = r.U64Vec();
-  FGPAR_CHECK_MSG(frozen.size() == frozen_until_.size(),
-                  "corrupt snapshot: frozen-core table size mismatch");
-  frozen_until_ = std::move(frozen);
   const std::uint64_t core_count = r.U64();
   FGPAR_CHECK_MSG(core_count == cores_.size(),
                   "corrupt snapshot: " + std::to_string(core_count) +
@@ -370,7 +326,6 @@ void Machine::Restore(const std::vector<std::uint8_t>& bytes) {
   }
   memory_.LoadState(r);
   queues_.LoadState(r);
-  injector_.LoadState(r);
   r.CheckFullyConsumed();
   // The trace cache is derived state keyed by heat observed
   // during *this* machine's execution history, which the restore just

@@ -34,19 +34,13 @@ class Rng {
   /// Bernoulli draw with probability p of returning true.
   bool NextBool(double p = 0.5);
 
-  /// Raw generator state, exposed for machine snapshots: restoring the
-  /// state and continuing must reproduce the exact draw sequence of an
-  /// uninterrupted run.
-  const std::array<std::uint64_t, 4>& state() const { return state_; }
-  void set_state(const std::array<std::uint64_t, 4>& state) { state_ = state; }
-
  private:
   std::array<std::uint64_t, 4> state_;
 };
 
 /// Deterministically combines two seeds into a new one (SplitMix64-based).
-/// Used to derive per-component streams (workload init, fault injection,
-/// per-retry reseeding) from the single RunConfig seed without correlation.
+/// Used to derive independent per-round streams (workload seeds, generated
+/// kernel texts) from one base seed without correlation.
 std::uint64_t MixSeed(std::uint64_t a, std::uint64_t b);
 
 }  // namespace fgpar

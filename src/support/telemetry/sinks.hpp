@@ -12,8 +12,8 @@
 //                       fields are suppressed, so deterministic-mode
 //                       traces are byte-stable).
 //  * StreamSink       — stateless adapter that re-stamps the stream lane
-//                       before forwarding, so several machines (or retry
-//                       attempts) stay distinguishable in one shared sink.
+//                       before forwarding, so several machines (or sweep
+//                       points) stay distinguishable in one shared sink.
 #pragma once
 
 #include <array>

@@ -16,8 +16,6 @@ std::string_view StallCauseName(StallCause cause) {
       return "queue_full";
     case StallCause::kPipeline:
       return "pipeline";
-    case StallCause::kFrozen:
-      return "frozen";
   }
   FGPAR_UNREACHABLE("bad StallCause");
 }

@@ -55,14 +55,12 @@ enum class SimEventKind : std::uint8_t {
 
 /// Why a core is not issuing.  kPipeline covers operand (RAW) waits and
 /// busy unpipelined units — everything Core::Step reports as pipeline
-/// busy; the queue causes mirror CoreStats::stall_queue_empty/full; kFrozen
-/// is fault-injected core freezing.
+/// busy; the queue causes mirror CoreStats::stall_queue_empty/full.
 enum class StallCause : std::uint8_t {
   kNone,
   kQueueEmpty,
   kQueueFull,
   kPipeline,
-  kFrozen,
 };
 
 std::string_view StallCauseName(StallCause cause);

@@ -42,7 +42,6 @@ std::string CheckSeed(std::uint64_t seed, int cores) {
     // A generator or compiler bug that produces a non-terminating program
     // must surface as a CycleBudgetError, not a hung CI job.
     config.max_cycles = 50'000'000;
-    config.fallback.fall_back_to_sequential = false;
     (void)runner.Run(config);
     return "";
   } catch (const std::exception& e) {

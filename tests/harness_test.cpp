@@ -17,10 +17,10 @@ namespace fgpar::harness {
 namespace {
 
 WorkloadInit SimpleInit(std::int64_t trip) {
-  return [trip](std::uint64_t /*seed*/, const ir::Kernel& kernel,
+  return [trip](std::uint64_t seed, const ir::Kernel& kernel,
                 const ir::DataLayout& layout, ir::ParamEnv& params,
                 std::vector<std::uint64_t>& memory) {
-    Rng rng(42);
+    Rng rng(seed);
     for (const ir::Symbol& sym : kernel.symbols()) {
       if (sym.kind == ir::SymbolKind::kParam) {
         if (sym.type == ir::ScalarType::kI64) {
@@ -125,17 +125,21 @@ INSTANTIATE_TEST_SUITE_P(SomeKernels, SmtCorrectness,
 
 TEST(Runner, FullyDeterministicAcrossRuns) {
   // The whole stack — workload, compiler, simulator — is deterministic:
-  // two identical runs must agree cycle-for-cycle.
+  // two identical runs must agree cycle-for-cycle, at the default seed and
+  // at another one (SimpleInit draws the workload from the run seed).
   KernelRunner runner(frontend::ParseKernel(kKernel), SimpleInit(40));
-  RunConfig config;
-  config.compile.num_cores = 4;
-  const KernelRun a = runner.Run(config);
-  const KernelRun b = runner.Run(config);
-  EXPECT_EQ(a.seq_cycles, b.seq_cycles);
-  EXPECT_EQ(a.par_cycles, b.par_cycles);
-  EXPECT_EQ(a.par_instructions, b.par_instructions);
-  EXPECT_EQ(a.par_queue_transfers, b.par_queue_transfers);
-  EXPECT_EQ(a.com_ops, b.com_ops);
+  for (const std::uint64_t seed : {RunConfig{}.seed, std::uint64_t{0xABCDEF}}) {
+    RunConfig config;
+    config.compile.num_cores = 4;
+    config.seed = seed;
+    const KernelRun a = runner.Run(config);
+    const KernelRun b = runner.Run(config);
+    EXPECT_EQ(a.seq_cycles, b.seq_cycles) << seed;
+    EXPECT_EQ(a.par_cycles, b.par_cycles) << seed;
+    EXPECT_EQ(a.par_instructions, b.par_instructions) << seed;
+    EXPECT_EQ(a.par_queue_transfers, b.par_queue_transfers) << seed;
+    EXPECT_EQ(a.com_ops, b.com_ops) << seed;
+  }
 }
 
 TEST(RandomKernels, DeterministicInSeed) {

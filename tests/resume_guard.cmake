@@ -3,10 +3,11 @@
 # Proves the sweep supervisor's whole failure-containment story on the
 # fig12 smoke grid:
 #
-#   run A  — uninterrupted: one grid point carries an injected
-#            unrecoverable fault (--fault-point 1), is quarantined after
-#            its one attempt within the failure budget, and emits a repro
-#            bundle; the run still exits 0.
+#   run A  — uninterrupted: one grid point fails for real (--fault-point 1
+#            gives it a one-cycle budget, so its sequential run throws a
+#            CycleBudgetError), is quarantined after its one attempt
+#            within the failure budget, and emits a repro bundle; the run
+#            still exits 0.
 #   run B1 — same sweep, but FGPAR_SUPERVISOR_EXIT_AFTER=2 SIGKILLs the
 #            process right after the second point is journaled (a stand-in
 #            for an external kill -9 mid-sweep).  Must die nonzero.
@@ -16,9 +17,10 @@
 # The deterministic BENCH artifact and the stdout table from run B2 must
 # be byte-identical to run A's — an interruption plus resume is invisible
 # in the results.  Finally, fgpar-repro replays run B's bundle and must
-# report the recorded failure reproduces bit-exactly, on the workload seed
-# every other row of the table ran with (0x5eed): a quarantined point is
-# never reseeded.
+# report the recorded failure reproduces bit-exactly — failure text and
+# machine snapshot both, so a bundle without a snapshot fails the drill —
+# on the workload seed every other row of the table ran with (0x5eed): a
+# quarantined point is never reseeded.
 #
 # Usage:
 #   cmake -DFIG12=<fig12_speedup exe> -DREPRO_TOOL=<fgpar-repro exe>
@@ -47,7 +49,7 @@ execute_process(
   RESULT_VARIABLE status_a)
 if(NOT status_a EQUAL 0)
   message(FATAL_ERROR
-    "run A failed (${status_a}): the quarantined fault must stay within "
+    "run A failed (${status_a}): the quarantined failure must stay within "
     "the failure budget\n${stderr_a}")
 endif()
 if(NOT stderr_a MATCHES "quarantined point 1")
@@ -115,6 +117,11 @@ if(NOT status_repro EQUAL 0)
 endif()
 if(NOT stdout_repro MATCHES "reproduced")
   message(FATAL_ERROR "fgpar-repro did not report a repro:\n${stdout_repro}")
+endif()
+if(NOT stdout_repro MATCHES "failure text and machine snapshot match")
+  message(FATAL_ERROR
+    "fgpar-repro did not compare a machine snapshot (the bundle has none):\n"
+    "${stdout_repro}")
 endif()
 if(NOT stdout_repro MATCHES "seed 0x5eed\n")
   message(FATAL_ERROR

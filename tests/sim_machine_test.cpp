@@ -212,6 +212,9 @@ TEST(Machine, DeadlockDetectedOnEnqueueToHaltedReceiver) {
 }
 
 TEST(Machine, DeadlockMessageNamesStuckCores) {
+  // Core 0 waits on an int queue and core 1 on an fp queue, each from the
+  // other: the report must name both cores, each queue's class and
+  // direction, and the blocking state.
   Assembler a;
   isa::Label core0 = a.NewNamedLabel("core0");
   isa::Label core1 = a.NewNamedLabel("core1");
@@ -219,7 +222,7 @@ TEST(Machine, DeadlockMessageNamesStuckCores) {
   a.DeqI(1, Gpr{1});
   a.Halt();
   a.Bind(core1);
-  a.DeqI(0, Gpr{1});
+  a.DeqF(0, Fpr{1});
   a.Halt();
   Machine m(TwoCores(), a.Finish());
   m.StartCoreAt(0, "core0");
@@ -228,8 +231,21 @@ TEST(Machine, DeadlockMessageNamesStuckCores) {
     m.Run();
     FAIL() << "expected DeadlockError";
   } catch (const DeadlockError& e) {
-    EXPECT_NE(std::string(e.what()).find("core 0"), std::string::npos);
-    EXPECT_NE(std::string(e.what()).find("deqi"), std::string::npos);
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("hardware queue deadlock"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("core 0"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("core 1"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("deqi"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("int queue 1->0"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("fp queue 0->1"), std::string::npos) << msg;
+    const StallReport& report = e.report();
+    ASSERT_EQ(report.cores.size(), 2u);
+    EXPECT_EQ(report.cores[0].wait, StallReport::CoreState::Wait::kDeqEmpty);
+    EXPECT_EQ(report.cores[0].remote_core, 1);
+    EXPECT_FALSE(report.cores[0].queue_is_fp);
+    EXPECT_EQ(report.cores[1].wait, StallReport::CoreState::Wait::kDeqEmpty);
+    EXPECT_EQ(report.cores[1].remote_core, 0);
+    EXPECT_TRUE(report.cores[1].queue_is_fp);
   }
 }
 

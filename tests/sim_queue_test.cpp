@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <string>
 
 #include "sim/hw_queue.hpp"
 #include "support/error.hpp"
@@ -46,21 +47,39 @@ TEST(HardwareQueue, CapacityIncludesInFlightValues) {
   EXPECT_EQ(q.size(), 2);
 }
 
+/// The text of the Error `op` throws ("" if it throws nothing).
+template <typename Op>
+std::string ErrorText(Op op) {
+  try {
+    op();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(HardwareQueue, EnqueueWhenFullThrows) {
   HardwareQueue q(1, 1);
   q.Enqueue(1, 0);
-  EXPECT_THROW(q.Enqueue(2, 0), Error);
+  const std::string msg = ErrorText([&] { q.Enqueue(2, 0); });
+  EXPECT_NE(msg.find("enqueue into full hardware queue"), std::string::npos)
+      << msg;
+  EXPECT_NE(msg.find("capacity 1"), std::string::npos) << msg;
 }
 
 TEST(HardwareQueue, DequeueBeforeArrivalThrows) {
   HardwareQueue q(1, 10);
   q.Enqueue(1, 0);
-  EXPECT_THROW(q.Dequeue(5), Error);
+  const std::string msg = ErrorText([&] { q.Dequeue(5); });
+  EXPECT_NE(msg.find("dequeue before arrival"), std::string::npos) << msg;
+  EXPECT_NE(msg.find("arrives at cycle 10"), std::string::npos) << msg;
 }
 
 TEST(HardwareQueue, DequeueEmptyThrows) {
   HardwareQueue q(1, 1);
-  EXPECT_THROW(q.Dequeue(100), Error);
+  const std::string msg = ErrorText([&] { q.Dequeue(100); });
+  EXPECT_NE(msg.find("dequeue from empty hardware queue"), std::string::npos)
+      << msg;
 }
 
 TEST(HardwareQueue, StatsTrackTransfersAndOccupancy) {

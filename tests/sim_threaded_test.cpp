@@ -6,8 +6,8 @@
 // pause/resume behaviour — must be bit-identical to the fast and slow
 // tiers; only the sim.threaded.* counters (and host wall time) may differ.
 // These tests lock the deopt boundaries one by one: memory ops, telemetry
-// sinks, fault injection, pause horizons, and divide traps must each hand
-// control back to the reference loops without divergence.
+// sinks, pause horizons, and divide traps must each hand control back to
+// the reference loops without divergence.
 //
 // Snapshots deliberately exclude force_tier from the identity hash, so a
 // snapshot taken under one tier restores under another — which also lets
@@ -204,28 +204,6 @@ TEST(SimThreaded, TelemetrySinkForcesTheReferenceLoop) {
   const sim::RunResult plain = untraced.Run();
   EXPECT_EQ(traced.cycles, plain.cycles);
   EXPECT_EQ(traced.instructions, plain.instructions);
-}
-
-TEST(SimThreaded, FaultInjectionForcesTheReferenceLoop) {
-  sim::MachineConfig config = SingleCore(sim::RunTier::kAuto);
-  config.faults.seed = 11;
-  config.faults.core_freeze_prob = 0.05;
-  config.faults.core_freeze_cycles = 7;
-  sim::Machine faulted(config, HotAluLoop(100));
-  faulted.StartCoreAt(0, "main");
-  EXPECT_EQ(faulted.resolved_tier(), sim::RunTier::kSlow);
-  const sim::RunResult rt = faulted.Run();
-  EXPECT_EQ(faulted.threaded_stats().trace_enters, 0u);
-
-  // The same faulted machine with an explicit slow pin is bit-identical:
-  // the tier knob changed nothing the injector could observe.
-  config.force_tier = sim::RunTier::kSlow;
-  sim::Machine pinned(config, HotAluLoop(100));
-  pinned.StartCoreAt(0, "main");
-  const sim::RunResult rs = pinned.Run();
-  EXPECT_EQ(rt.cycles, rs.cycles);
-  EXPECT_EQ(rt.instructions, rs.instructions);
-  EXPECT_EQ(faulted.Snapshot(), pinned.Snapshot());
 }
 
 TEST(SimThreaded, DivideTrapInsideTraceMatchesReferenceError) {

@@ -4,24 +4,23 @@
 //   fgpar-repro <bundle-dir> [--trace <out.json>]
 //
 // A bundle (see harness/repro.hpp) holds the kernel source, the exact
-// RunConfig of the failed point (seed, faults, watchdog, budgets), the
+// RunConfig of the failed point (seed, queue geometry, cycle budget), the
 // recorded failure text, and the Machine::Snapshot() taken at the instant
-// the parallel attempt failed.  This tool rebuilds the workload from the
-// manifest, replays the verifying pipeline with the recorded
-// configuration — the fault/watchdog settings force the instrumented
-// reference loop — and checks the failure reproduces bit-exactly:
+// the measured sequential or parallel run failed.  This tool rebuilds the
+// workload from the manifest, replays the verifying pipeline with the
+// recorded configuration, and checks the failure reproduces bit-exactly:
 //
 //   * the replay must fail (a clean completion means no repro);
 //   * the exception text must match the recorded failure message;
 //   * the machine snapshot at failure must byte-compare equal to the
 //     bundled snapshot.bin (skipped when the bundle has no snapshot,
-//     e.g. for failures outside a parallel attempt).
+//     e.g. for failures outside a measured run).
 //
 // Exit code 0 and a final "reproduced" line when all checks pass; exit 1
 // otherwise, with the mismatch on stderr.
 //
 // --trace <out.json> additionally captures the replay as a Chrome
-// trace_event file — compile pass spans plus the failing attempt's
+// trace_event file — compile pass spans plus the parallel run's
 // per-core issue, queue, and stall events — written whether or not the
 // failure reproduces, so "what was the machine doing when it died" is
 // inspectable at ui.perfetto.dev.
@@ -83,12 +82,9 @@ int main(int argc, char** argv) {
     kernel.f64_params = bundle.f64_params;
 
     harness::RunConfig config = bundle.config;
-    // Replay must fail loudly, not degrade: never fall back to sequential
-    // numbers, and capture the machine state at the failing attempt.
-    config.fallback.fall_back_to_sequential = false;
+    // Capture the machine state at the failing run.
     std::vector<std::uint8_t> replay_snapshot;
-    config.on_parallel_failure = [&](const sim::Machine& machine, const Error&,
-                                     int) {
+    config.on_failure = [&](const sim::Machine& machine, const Error&) {
       replay_snapshot = machine.Snapshot();
     };
     telemetry::ChromeTraceSink trace_sink;
