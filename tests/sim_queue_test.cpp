@@ -47,39 +47,21 @@ TEST(HardwareQueue, CapacityIncludesInFlightValues) {
   EXPECT_EQ(q.size(), 2);
 }
 
-/// The text of the Error `op` throws ("" if it throws nothing).
-template <typename Op>
-std::string ErrorText(Op op) {
-  try {
-    op();
-  } catch (const Error& e) {
-    return e.what();
-  }
-  return "";
-}
-
 TEST(HardwareQueue, EnqueueWhenFullThrows) {
   HardwareQueue q(1, 1);
   q.Enqueue(1, 0);
-  const std::string msg = ErrorText([&] { q.Enqueue(2, 0); });
-  EXPECT_NE(msg.find("enqueue into full hardware queue"), std::string::npos)
-      << msg;
-  EXPECT_NE(msg.find("capacity 1"), std::string::npos) << msg;
+  EXPECT_THROW(q.Enqueue(2, 0), Error);
 }
 
 TEST(HardwareQueue, DequeueBeforeArrivalThrows) {
   HardwareQueue q(1, 10);
   q.Enqueue(1, 0);
-  const std::string msg = ErrorText([&] { q.Dequeue(5); });
-  EXPECT_NE(msg.find("dequeue before arrival"), std::string::npos) << msg;
-  EXPECT_NE(msg.find("arrives at cycle 10"), std::string::npos) << msg;
+  EXPECT_THROW(q.Dequeue(5), Error);
 }
 
 TEST(HardwareQueue, DequeueEmptyThrows) {
   HardwareQueue q(1, 1);
-  const std::string msg = ErrorText([&] { q.Dequeue(100); });
-  EXPECT_NE(msg.find("dequeue from empty hardware queue"), std::string::npos)
-      << msg;
+  EXPECT_THROW(q.Dequeue(100), Error);
 }
 
 TEST(HardwareQueue, StatsTrackTransfersAndOccupancy) {
@@ -135,6 +117,47 @@ TEST_P(QueueModelProperty, MatchesReferenceModel) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, QueueModelProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
+
+// Each violated queue precondition throws an Error whose text names it.
+
+TEST(QueueGuards, DequeueFromEmptyThrowsDiagnostic) {
+  HardwareQueue q(/*capacity=*/2, /*transfer_latency=*/5);
+  try {
+    q.Dequeue(10);
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("dequeue from empty hardware queue"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(QueueGuards, DequeueBeforeArrivalThrowsDiagnostic) {
+  HardwareQueue q(2, 5);
+  q.Enqueue(99, /*now=*/10);  // arrives at 15
+  try {
+    q.Dequeue(12);
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("dequeue before arrival"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("arrives at cycle 15"), std::string::npos) << msg;
+  }
+}
+
+TEST(QueueGuards, EnqueueIntoFullThrowsDiagnostic) {
+  HardwareQueue q(1, 5);
+  q.Enqueue(1, 0);
+  try {
+    q.Enqueue(2, 1);
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("enqueue into full hardware queue"), std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("capacity 1"), std::string::npos) << msg;
+  }
+}
 
 }  // namespace
 }  // namespace fgpar::sim
