@@ -17,8 +17,8 @@
 //   --checkpoint <path>  journal completed points ("fgpar-ckpt-v1")
 //   --resume             skip points already in the checkpoint journal
 //   --cycle-budget <n>   per-point simulated-cycle budget (RunConfig::
-//                        max_cycles); a point that overruns it is
-//                        quarantined
+//                        max_cycles); a point still running at cycle n
+//                        stops there and is quarantined
 //   --failure-budget <n> quarantined failures tolerated before exit 1
 //   --fault-point <i>    fails grid point i through a one-cycle budget
 //                        (the resume drill; quarantines that point)
@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
     config.max_cycles = cycle_budget;
     if (fault_point >= 0 && index == static_cast<std::size_t>(fault_point)) {
       // A real failure: the sequential run cannot finish in one cycle, so
-      // the point throws a CycleBudgetError and gets quarantined.
+      // the point throws a sim::CycleBudgetError and gets quarantined.
       config.max_cycles = 1;
     }
     return config;

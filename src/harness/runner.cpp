@@ -29,25 +29,6 @@ void CompareNativeMemory(const std::vector<std::uint64_t>& actual,
   }
 }
 
-/// Run-to-completion under RunConfig::max_cycles: a machine still going at
-/// the budget is paused at the next loop boundary and reported as a
-/// CycleBudgetError instead of spinning until Machine's own hard limit.
-sim::RunResult RunBounded(sim::Machine& machine, std::uint64_t max_cycles,
-                          const std::string& kernel, const char* what) {
-  if (max_cycles == 0) {
-    return machine.Run();
-  }
-  const sim::PauseResult outcome = machine.RunUntil(max_cycles);
-  if (!outcome.finished) {
-    throw CycleBudgetError(
-        "kernel '" + kernel + "': " + what +
-        " exceeded the cycle budget: paused at cycle " +
-        std::to_string(machine.now()) + " (budget " +
-        std::to_string(max_cycles) + ")");
-  }
-  return outcome.result;
-}
-
 }  // namespace
 
 KernelRunner::KernelRunner(const ir::Kernel& kernel, WorkloadInit init)
@@ -86,6 +67,9 @@ sim::MachineConfig KernelRunner::MachineConfigFor(const RunConfig& config,
   machine.cache = config.cache;
   machine.queue = config.queue;
   machine.force_tier = config.force_tier;
+  if (config.max_cycles != 0) {
+    machine.max_cycles = config.max_cycles;
+  }
   // Round the data region up to a power-of-two-ish budget with headroom.
   std::uint64_t words = 1024;
   while (words < layout_.end() + 64) {
@@ -172,8 +156,14 @@ KernelRun KernelRunner::Run(const RunConfig& config) const {
   const auto measure = [&](sim::Machine& machine, const char* what,
                            const std::string& verify_what) {
     try {
-      const sim::RunResult result =
-          RunBounded(machine, config.max_cycles, kernel_.name(), what);
+      sim::RunResult result;
+      try {
+        result = machine.Run();
+      } catch (const sim::CycleBudgetError& e) {
+        // Name the kernel and the run that reached the limit.
+        throw sim::CycleBudgetError("kernel '" + kernel_.name() + "': " +
+                                    what + ": " + e.what());
+      }
       if (config.verify) {
         CompareMemory(machine, golden, verify_what);
       }
@@ -211,6 +201,7 @@ KernelRun KernelRunner::Run(const RunConfig& config) const {
       // deployment hardware differs, as in the Figure 13 sweep).
       RunConfig training = config;
       training.queue.transfer_latency = config.compile.assumed_transfer_latency;
+      training.max_cycles = 0;  // tuning runs are never budgeted
       sim::Machine machine(MachineConfigFor(training, cores), program);
       LoadImage(machine, prepared.image);
       machine.StartCoreAt(0, compiler::CompiledParallel::kPrimaryEntry);

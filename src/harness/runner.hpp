@@ -9,9 +9,9 @@
 // halt, exactly like the paper's "speedup over sequential execution time".
 //
 // Failure has one path: each measured run executes once, and a deadlock,
-// verify mismatch, exceeded cycle budget, or any other machine error
-// throws out of KernelRunner::Run (after RunConfig::on_failure has seen
-// the failed machine).  Workload initialization derives from the single
+// verify mismatch, reached cycle limit, or any other machine error throws
+// out of KernelRunner::Run (after RunConfig::on_failure has seen the
+// failed machine).  Workload initialization derives from the single
 // RunConfig::seed and multi-version tuning is deterministic, so any run —
 // including a failing one — is bit-reproducible from one integer.
 #pragma once
@@ -50,15 +50,6 @@ using WorkloadInit =
 class VerifyError : public Error {
  public:
   explicit VerifyError(std::string message) : Error(std::move(message)) {}
-};
-
-/// Thrown when a measured execution exceeds RunConfig::max_cycles: the
-/// machine was paused at the budget boundary instead of being allowed to
-/// run (or hang) further.  Distinguished so callers can tell a budget
-/// overrun from a verification or deadlock failure.
-class CycleBudgetError : public Error {
- public:
-  explicit CycleBudgetError(std::string message) : Error(std::move(message)) {}
 };
 
 struct RunConfig {
@@ -107,11 +98,11 @@ struct RunConfig {
   /// unchanged; native timing is wall-clock-only by design.
   compiler::BackendKind backend = compiler::BackendKind::kSim;
   /// Simulated-cycle budget for the measured sequential and parallel
-  /// executions (0 = unlimited).  A run still going at this cycle is
-  /// paused at the next loop boundary and reported as a CycleBudgetError —
-  /// the one per-point bound a supervised sweep sets (fig12
-  /// --cycle-budget).  Golden-model
-  /// interpretation and multi-version tuning are never budgeted.
+  /// executions: their MachineConfig::max_cycles (0 = the machine
+  /// default).  A run still going at this cycle stops there and throws
+  /// sim::CycleBudgetError — the one per-point bound a supervised sweep
+  /// sets (fig12 --cycle-budget).  Golden-model interpretation, profiling
+  /// and multi-version tuning are never budgeted.
   std::uint64_t max_cycles = 0;
   /// Observation hook invoked once, with the failed machine still intact,
   /// when the measured sequential or parallel run or its verify throws;
@@ -185,7 +176,7 @@ class KernelRunner {
 
   /// Runs the full pipeline for `config`.  Throws on compile errors and on
   /// any failure of the measured runs (deadlock, verify mismatch, cycle
-  /// budget, machine limits); config.on_failure sees the latter first.
+  /// limit, machine checks); config.on_failure sees the latter first.
   KernelRun Run(const RunConfig& config) const;
 
   /// Whole-kernel analytic prediction under `config` — no simulation.

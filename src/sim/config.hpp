@@ -87,7 +87,8 @@ struct MachineConfig {
   QueueConfig queue;
   /// Abort if no core makes progress for this many cycles (deadlock guard).
   std::uint64_t no_progress_limit = 1ull << 20;
-  /// Hard cap on simulated cycles.
+  /// The cycle limit: a run still going at this cycle stops exactly there,
+  /// under every run tier, and throws CycleBudgetError.
   std::uint64_t max_cycles = 1ull << 40;
   /// Depth limit of the per-core call stack.
   int call_stack_limit = 64;

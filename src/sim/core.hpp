@@ -25,7 +25,6 @@
 #include "sim/memory.hpp"
 
 namespace fgpar {
-class ByteReader;
 class ByteWriter;
 }  // namespace fgpar
 
@@ -58,9 +57,8 @@ class QueueMatrix {
   /// uses.
   int MaxOccupancy() const;
 
-  /// Serializes/restores every queue's state.  Defined in sim/snapshot.cpp.
+  /// Serializes every queue's state.  Defined in sim/snapshot.cpp.
   void SaveState(ByteWriter& w) const;
-  void LoadState(ByteReader& r);
 
  private:
   int Index(int src, int dst) const;
@@ -144,11 +142,10 @@ class Core {
   /// One-line state description for deadlock diagnostics.
   std::string Describe(const isa::Program& program) const;
 
-  /// Serializes/restores the full architectural and timing state (id and
-  /// config travel with the machine identity, not the snapshot).  Defined
-  /// in sim/snapshot.cpp.
+  /// Serializes the full architectural and timing state (id and config
+  /// travel with the machine identity, not the snapshot).  Defined in
+  /// sim/snapshot.cpp.
   void SaveState(ByteWriter& w) const;
-  void LoadState(ByteReader& r);
 
  private:
   /// Latest ready-cycle among the instruction's source registers.

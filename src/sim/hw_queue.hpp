@@ -23,7 +23,6 @@
 #include <deque>
 
 namespace fgpar {
-class ByteReader;
 class ByteWriter;
 }  // namespace fgpar
 
@@ -64,10 +63,9 @@ class HardwareQueue {
   std::uint64_t total_transfers() const { return total_transfers_; }
   int max_occupancy() const { return max_occupancy_; }
 
-  /// Serializes/restores slots and statistics (capacity and latency come
+  /// Serializes slots and statistics (capacity and latency come
   /// from the machine config).  Defined in sim/snapshot.cpp.
   void SaveState(ByteWriter& w) const;
-  void LoadState(ByteReader& r);
 
  private:
   struct Slot {

@@ -85,29 +85,10 @@ int Machine::RunningCores() const {
 }
 
 RunResult Machine::Run() {
-  const PauseResult outcome =
-      RunUntil(std::numeric_limits<std::uint64_t>::max());
-  // stop_at_ is max and max_cycles is checked first, so a pause is
-  // impossible: the run either finishes or throws.
-  FGPAR_CHECK(outcome.finished);
-  return outcome.result;
-}
-
-PauseResult Machine::RunUntil(std::uint64_t stop_cycle) {
-  stop_at_ = stop_cycle;
-  const bool resuming = paused_;
-  if (!resuming) {
-    // A fresh run (not a resume): reset the per-run bookkeeping exactly as
-    // the loop-local variables used to be.
-    last_issue_cycle_ = now_;
-    core0_halt_recorded_ = false;
-    core0_halt_cycle_ = 0;
-  }
-  paused_ = false;
-  if (telemetry_ != nullptr &&
-      (!resuming || open_stall_cause_.size() != cores_.size())) {
-    // Telemetry-only stall latches: reset at every fresh run (and sized on
-    // first use when a sink is installed mid-sequence).
+  last_issue_cycle_ = now_;
+  core0_halt_recorded_ = false;
+  core0_halt_cycle_ = 0;
+  if (telemetry_ != nullptr) {
     open_stall_cause_.assign(cores_.size(), telemetry::StallCause::kNone);
     open_stall_begin_.assign(cores_.size(), 0);
   }
@@ -143,12 +124,13 @@ RunResult Machine::FinishResult() const {
   return result;
 }
 
-PauseResult Machine::PauseHere() {
-  paused_ = true;
-  return PauseResult{};
+void Machine::StopAtCycleLimit() {
+  TelemetryCloseStalls();  // the terminal stall must appear in traces
+  throw CycleBudgetError("simulation reached its cycle limit (max_cycles = " +
+                         std::to_string(config_.max_cycles) + ")");
 }
 
-PauseResult Machine::RunSlow() {
+RunResult Machine::RunSlow() {
   constexpr std::uint64_t kNoEvent = std::numeric_limits<std::uint64_t>::max();
   int running = RunningCores();
 
@@ -162,10 +144,9 @@ PauseResult Machine::RunSlow() {
   const int physical = (config_.num_cores + tpc - 1) / tpc;
 
   while (running > 0) {
-    if (now_ >= stop_at_) {
-      return PauseHere();  // natural loop boundary: all state consistent
+    if (now_ >= config_.max_cycles) {
+      StopAtCycleLimit();
     }
-    FGPAR_CHECK_MSG(now_ < config_.max_cycles, "simulation exceeded max_cycles");
 
     bool issued_any = false;
     for (int p = 0; p < physical; ++p) {
@@ -253,6 +234,7 @@ PauseResult Machine::RunSlow() {
       TelemetryCloseStalls();  // the terminal stall must appear in traces
       throw DeadlockError(BuildStallReport());
     }
+    next_event = std::min(next_event, config_.max_cycles);
     // Account the skipped cycles as queue-stall time where applicable.
     const std::uint64_t skipped = next_event - now_;
     for (std::size_t c = 0; c < cores_.size(); ++c) {
@@ -265,10 +247,10 @@ PauseResult Machine::RunSlow() {
     now_ = next_event;
   }
 
-  return PauseResult{true, FinishResult()};
+  return FinishResult();
 }
 
-PauseResult Machine::RunFast() {
+RunResult Machine::RunFast() {
   // Fast path: no trace sink.  The loop mirrors RunSlow cycle-for-cycle —
   // same SMT slot arbitration, same intra-cycle core order, same
   // fast-forward events, same stall accounting — but (a) issues through
@@ -297,10 +279,9 @@ PauseResult Machine::RunFast() {
   const int physical = (config_.num_cores + tpc - 1) / tpc;
 
   while (running > 0) {
-    if (now_ >= stop_at_) {
-      return PauseHere();  // natural loop boundary: all state consistent
+    if (now_ >= config_.max_cycles) {
+      StopAtCycleLimit();
     }
-    FGPAR_CHECK_MSG(now_ < config_.max_cycles, "simulation exceeded max_cycles");
 
     bool issued_any = false;
     for (int p = 0; p < physical; ++p) {
@@ -410,13 +391,15 @@ PauseResult Machine::RunFast() {
     if (next_event == kNoEvent) {
       throw DeadlockError(BuildStallReport());
     }
+    next_event = std::min(next_event, config_.max_cycles);
     // Stall accounting, matched to the reference loop.  Jumping k cycles
     // with no in-flight value pending charges each stalled core k (one per
     // skipped fast-forward).  When a value is in flight, the reference
     // loop instead crawls those k cycles one at a time, so each stalled
     // core is charged twice per cycle — once by its re-check and once by
     // the single-cycle fast-forward — except the landing cycle's re-check,
-    // which both loops perform normally: 2k - 1.
+    // which both loops perform normally (or, at max_cycles, neither
+    // performs): 2k - 1.
     const std::uint64_t skipped = next_event - now_;
     const std::uint64_t charge = crawl ? 2 * skipped - 1 : skipped;
     for (std::size_t c = 0; c < cores_.size(); ++c) {
@@ -429,10 +412,10 @@ PauseResult Machine::RunFast() {
     now_ = next_event;
   }
 
-  return PauseResult{true, FinishResult()};
+  return FinishResult();
 }
 
-PauseResult Machine::RunFastSingle(bool traced) {
+RunResult Machine::RunFastSingle(bool traced) {
   // Single-core specialization of the fast path.  A hardware queue needs
   // two distinct cores (QueueMatrix rejects self-queues), so on one core a
   // step can only issue or wait on its own pipeline — no SMT arbitration,
@@ -446,34 +429,31 @@ PauseResult Machine::RunFastSingle(bool traced) {
   // nothing.  Cycle counts and statistics are therefore bit-identical
   // (tests/sim_golden_test.cpp).
   //
-  // When `traced`, every iteration first checks the pause horizon, then
-  // either executes a compiled trace anchored at pc or takes one
-  // interpreted step, which also counts control transfers (the translation
-  // trigger).  Trace exits always land on a state this loop could itself
-  // have been in at this boundary (sim/threaded.cpp), so any mix of traced
-  // and interpreted execution is bit-identical to the untraced loop.
+  // The jump is clamped at max_cycles, so a run that cannot issue before
+  // the limit stops exactly there, as the reference loop's fast-forward
+  // does.
+  //
+  // When `traced`, every iteration either executes a compiled trace
+  // anchored at pc or takes one interpreted step, which also counts
+  // control transfers (the translation trigger).  Trace exits always land
+  // on a state this loop could itself have been in at this boundary
+  // (sim/threaded.cpp), so any mix of traced and interpreted execution is
+  // bit-identical to the untraced loop.
   const DecodedProgram& dp = *decoded_;
   if (traced && !threaded_) {
     threaded_ = std::make_unique<ThreadedCache>(dp, &threaded_stats_);
   }
   ThreadedCache* const tc = traced ? threaded_.get() : nullptr;
   Core& core = cores_.front();
-  const std::uint64_t limit = std::min(stop_at_, config_.max_cycles);
-  // After a kBoundary trace exit the same trace would exit again without
-  // progress; force one interpreted step, which re-derives the precise
-  // pause / max_cycles / divide-trap ordering and always makes progress.
-  bool interpret_once = false;
 
   while (core.started() && !core.halted()) {
-    if (now_ >= stop_at_) {
-      return PauseHere();  // natural loop boundary: all state consistent
-    }
-    if (tc != nullptr && !interpret_once) {
+    if (tc != nullptr) {
       ThreadedTrace* trace = tc->TraceAt(core.pc());
       if (trace != nullptr) {
         ++threaded_stats_.trace_enters;
-        const TraceRun run = ThreadedExec::Run(
-            core, *trace, now_, limit, last_issue_cycle_, threaded_stats_);
+        const TraceRun run =
+            ThreadedExec::Run(core, *trace, now_, config_.max_cycles,
+                              last_issue_cycle_, threaded_stats_);
         switch (run.exit) {
           case TraceRun::Exit::kHalt:
             if (!core0_halt_recorded_) {
@@ -487,22 +467,22 @@ PauseResult Machine::RunFastSingle(bool traced) {
             tc->NoteControlTransfer(core.pc());
             continue;
           case TraceRun::Exit::kDeopt:
-            // pc is on an untranslatable op; the dispatch above will miss
-            // and the interpreted step below handles it.
+            // pc is on an op the trace did not issue: an untranslatable op,
+            // or one that could reach max_cycles or trap.  The interpreted
+            // step below re-derives the precise max_cycles / divide-trap
+            // ordering and always makes progress.
             break;
-          case TraceRun::Exit::kBoundary:
-            interpret_once = true;
-            continue;  // re-check the pause horizon first
         }
       }
     }
-    interpret_once = false;
 
     const std::uint64_t next = core.next_issue_cycle();
     if (next > now_) {
-      now_ = next;
+      now_ = std::min(next, config_.max_cycles);
     }
-    FGPAR_CHECK_MSG(now_ < config_.max_cycles, "simulation exceeded max_cycles");
+    if (now_ >= config_.max_cycles) {
+      StopAtCycleLimit();
+    }
     const std::int64_t pc_before = core.pc();
     if (core.StepFast(now_, dp, memory_, queues_) == StepOutcome::kIssued) {
       if (core.halted()) {
@@ -523,7 +503,7 @@ PauseResult Machine::RunFastSingle(bool traced) {
     }
   }
 
-  return PauseResult{true, FinishResult()};
+  return FinishResult();
 }
 
 void Machine::TelemetryStall(std::size_t core_index,

@@ -7,6 +7,11 @@
 // compiler bugs that break the paper's "senders and receivers are always
 // paired at runtime" requirement immediately instead of hanging.  Like
 // the paper's hardware, no simulated component ever fails on its own.
+//
+// A run either finishes or stops at MachineConfig::max_cycles: the clock
+// never passes the limit (every fast-forward is clamped to it), and a run
+// still going there throws CycleBudgetError with now() == max_cycles, in
+// the same state under every run tier.
 #pragma once
 
 #include <cstdint>
@@ -71,18 +76,18 @@ class DeadlockError : public Error {
   StallReport report_;
 };
 
+/// Thrown when a run reaches MachineConfig::max_cycles before every core
+/// halts.  The machine stays intact at now() == max_cycles, in the same
+/// state under every run tier, so its Snapshot() can be compared.
+class CycleBudgetError : public Error {
+ public:
+  explicit CycleBudgetError(std::string message) : Error(std::move(message)) {}
+};
+
 struct RunResult {
   std::uint64_t cycles = 0;            // cycle at which the last core halted
   std::uint64_t core0_halt_cycle = 0;  // cycle at which core 0 halted
   std::uint64_t instructions = 0;      // total across cores
-};
-
-/// Outcome of RunUntil: either the program ran to completion (`finished`,
-/// with `result` valid) or the machine paused at a natural loop boundary
-/// at or after the requested cycle and can be snapshotted or continued.
-struct PauseResult {
-  bool finished = false;
-  RunResult result;  // valid only when finished
 };
 
 class Machine {
@@ -98,7 +103,8 @@ class Machine {
   void StartCoreAtPc(int core, std::int64_t pc);
 
   /// Runs until every started core halts.  Throws DeadlockError on queue
-  /// deadlock and Error if config limits are exceeded.
+  /// deadlock, CycleBudgetError at MachineConfig::max_cycles, and Error on
+  /// a machine check or the no_progress_limit.
   ///
   /// Three run tiers exist behind this call (docs/INTERNALS.md §12).  The
   /// *fast tier* steps against the predecoded instruction cache (built
@@ -112,38 +118,23 @@ class Machine {
   /// installed or MachineConfig::force_tier is kSlow.  force_tier pins the
   /// choice for equivalence tests and benchmarks (a sink still wins).
   /// Simulated cycle counts, final memory, and per-core statistics are
-  /// bit-identical across all tiers (tests/sim_golden_test.cpp,
-  /// tests/sim_threaded_test.cpp).
+  /// bit-identical across all tiers, and so is where a run stops at
+  /// max_cycles (tests/sim_golden_test.cpp, tests/sim_threaded_test.cpp).
   RunResult Run();
-
-  /// Like Run, but pauses once now() reaches `stop_cycle`.  The pause
-  /// happens only at a natural run-loop boundary (just before a cycle is
-  /// evaluated), so the machine may stop strictly after `stop_cycle` when
-  /// a fast-forward jump lands past it; this is what makes pause/resume
-  /// bit-identical to an uninterrupted run — mid-jump state never exists
-  /// and is never approximated.  Calling Run or RunUntil again continues
-  /// exactly where the machine paused, as does Restore on a Snapshot taken
-  /// while paused.
-  PauseResult RunUntil(std::uint64_t stop_cycle);
 
   /// Serializes the complete mutable machine state — cycle clock, cores
   /// (registers, scoreboards, call stacks, stall latches, statistics),
   /// queue contents, functional memory, cache timing state, and run-loop
   /// bookkeeping — as a versioned, host-independent byte stream
-  /// ("fgpar-snap-v2").  The stream embeds an identity hash of the program
-  /// and MachineConfig; Restore into a machine built from anything else is
-  /// rejected.  The decoded instruction cache is intentionally not
-  /// serialized: it is a pure function of (program, timing), both covered
-  /// by the identity hash, and is rebuilt lazily after Restore.
+  /// ("fgpar-snap-v3").  Repro bundles compare these bytes; nothing reads
+  /// them back.  The stream embeds an identity hash of the program and
+  /// MachineConfig, so equal bytes imply the same program and config.
+  /// Derived caches (decoded instructions, traces) are not serialized.
+  /// Defined in sim/snapshot.cpp.
   std::vector<std::uint8_t> Snapshot() const;
 
-  /// Restores state from a Snapshot byte stream.  Throws fgpar::Error on a
-  /// version mismatch, an identity mismatch (different program or config),
-  /// or a truncated/corrupt stream.  Defined in sim/snapshot.cpp.
-  void Restore(const std::vector<std::uint8_t>& bytes);
-
   /// Stable fingerprint of this machine's program and configuration (the
-  /// snapshot compatibility identity).
+  /// snapshot identity).
   std::uint64_t IdentityHash() const;
 
   /// Installs a telemetry sink (non-owning; pass nullptr to disable).  The
@@ -154,16 +145,16 @@ class Machine {
   /// cycles, memory, and statistics stay bit-identical to the fast path
   /// (tests/telemetry_test.cpp).  The open-stall tracking behind the
   /// interval events is telemetry-only bookkeeping: it is reset at every
-  /// fresh Run and excluded from Snapshot/Restore.
+  /// Run and excluded from Snapshot.
   void SetTelemetry(telemetry::TelemetrySink* sink) { telemetry_ = sink; }
   telemetry::TelemetrySink* telemetry() const { return telemetry_; }
 
-  /// The tier RunUntil would use right now: kSlow when a telemetry sink is
+  /// The tier Run would use right now: kSlow when a telemetry sink is
   /// installed, otherwise MachineConfig::force_tier.
   RunTier resolved_tier() const;
 
   /// Translator/executor observability for the auto tier's traces.  Derived
-  /// diagnostic state: excluded from Snapshot and reset by Restore.
+  /// diagnostic state: excluded from Snapshot.
   const ThreadedStats& threaded_stats() const { return threaded_stats_; }
 
   std::uint64_t now() const { return now_; }
@@ -185,7 +176,7 @@ class Machine {
   /// Fast run loop for multi-core machines: predecoded dispatch,
   /// issue-skip for blocked cores, no instrumentation hooks.  Bit-identical
   /// timing/state to RunSlow.
-  PauseResult RunFast();
+  RunResult RunFast();
   /// Single-core fast loop: no SMT arbitration, no queue stalls (a 1-core
   /// machine has no queues), so the loop is just issue /
   /// jump-to-next-issue-cycle.  With `traced` it also runs hot blocks as
@@ -193,10 +184,10 @@ class Machine {
   /// lockstep SMT arbitration and shared cache/queue timing make
   /// cross-core trace execution unsound for bit-identity.  Bit-identical
   /// to RunSlow either way.
-  PauseResult RunFastSingle(bool traced);
+  RunResult RunFastSingle(bool traced);
   /// Reference run loop: polls every core every cycle; carries the
   /// telemetry sink.
-  PauseResult RunSlow();
+  RunResult RunSlow();
   /// Telemetry stall-interval tracking (no-ops unless a sink is
   /// installed): records per-core open stalls and emits
   /// kStallBegin/kStallEnd transitions.
@@ -204,7 +195,8 @@ class Machine {
   /// Closes `core`'s open stall (the core issued, or the run is ending).
   void TelemetryStallEnd(std::size_t core);
   /// Closes every open stall at now_ (called before throwing a
-  /// DeadlockError so terminal stalls appear in traces).
+  /// DeadlockError or CycleBudgetError so terminal stalls appear in
+  /// traces).
   void TelemetryCloseStalls();
   /// Emits the issue event (plus the queue event for enq/deq ops) for the
   /// instruction at `pc` that core `core` just issued.
@@ -213,8 +205,9 @@ class Machine {
   int RunningCores() const;
   /// Completes a finished run's RunResult from the bookkeeping members.
   RunResult FinishResult() const;
-  /// Marks the machine paused at `now_` (run-loop pause bookkeeping).
-  PauseResult PauseHere();
+  /// Throws CycleBudgetError; every run loop calls it with now_ exactly at
+  /// max_cycles.
+  [[noreturn]] void StopAtCycleLimit();
 
   MachineConfig config_;
   isa::Program program_;
@@ -222,27 +215,22 @@ class Machine {
   QueueMatrix queues_;
   std::vector<Core> cores_;
   std::uint64_t now_ = 0;
-  // Run-loop bookkeeping, promoted to members (and into snapshots) so a
-  // paused machine resumes with the same no-progress count and core-0 halt
-  // record as an uninterrupted run.  Reset at Run entry unless resuming
-  // from a pause.
+  // Run-loop bookkeeping, kept as members so a snapshot of a failed run
+  // records the no-progress count and core-0 halt record.  Reset at Run
+  // entry.
   std::uint64_t last_issue_cycle_ = 0;
   bool core0_halt_recorded_ = false;
   std::uint64_t core0_halt_cycle_ = 0;
-  bool paused_ = false;
-  /// Cycle at which the active RunUntil pauses (kNoStop for plain Run).
-  std::uint64_t stop_at_ = 0;
   /// Telemetry sink (non-owning; null = off) and the per-core open-stall
   /// latches behind its interval events.  Not serialized: stall latches
-  /// are derived observability state, reset at every fresh Run.
+  /// are derived observability state, reset at every Run.
   telemetry::TelemetrySink* telemetry_ = nullptr;
   std::vector<telemetry::StallCause> open_stall_cause_;
   std::vector<std::uint64_t> open_stall_begin_;
   /// Predecoded instruction cache; built on the first fast-path Run.
   std::unique_ptr<DecodedProgram> decoded_;
   /// Trace cache; built on the first auto-tier Run of a single-core
-  /// machine.  Derived state: dropped wholesale by Restore (traces are
-  /// rebuilt lazily, like decoded_) and never serialized.
+  /// machine.  Derived state, never serialized.
   std::unique_ptr<ThreadedCache> threaded_;
   ThreadedStats threaded_stats_;
   /// Per-core outcome of the current cycle, reused across Run calls to

@@ -17,7 +17,6 @@
 #include "sim/config.hpp"
 
 namespace fgpar {
-class ByteReader;
 class ByteWriter;
 }  // namespace fgpar
 
@@ -37,10 +36,9 @@ class CacheTagArray {
 
   void Clear();
 
-  /// Serializes/restores tags, validity, and LRU state (geometry comes
+  /// Serializes tags, validity, and LRU state (geometry comes
   /// from the machine config).  Defined in sim/snapshot.cpp.
   void SaveState(ByteWriter& w) const;
-  void LoadState(ByteReader& r);
 
  private:
   struct Way {
@@ -88,10 +86,9 @@ class MemorySystem {
   std::uint64_t l2_hits() const { return l2_hits_; }
   std::uint64_t misses() const { return misses_; }
 
-  /// Serializes/restores functional words, cache timing state, and hit
-  /// counters.  Defined in sim/snapshot.cpp.
+  /// Serializes functional words, cache timing state, and hit counters.
+  /// Defined in sim/snapshot.cpp.
   void SaveState(ByteWriter& w) const;
-  void LoadState(ByteReader& r);
 
  private:
   void CheckAddr(std::uint64_t addr) const;

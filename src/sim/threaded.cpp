@@ -15,11 +15,11 @@
 //   next_issue = t + busy; now = t + 1
 //
 // The boundary guard is what keeps every edge case bit-identical: `limit`
-// is min(stop_at, max_cycles), and an op that *might* cross it is not
-// executed in the trace at all — the trace exits with the pre-op machine
-// state, which by construction equals a RunFastSingle loop boundary, and
-// the interpreter re-runs the op with the reference ordering of pause
-// checks, max_cycles checks, and divide traps.  Divide ops reuse the same
+// is max_cycles, and an op that *might* cross it is not executed in the
+// trace at all — the trace exits with the pre-op machine state, which by
+// construction equals a RunFastSingle loop boundary, and the interpreter
+// re-runs the op with the reference ordering of max_cycles checks and
+// divide traps.  Divide ops reuse the same
 // exit for their trap conditions, so the interpreter's FGPAR_CHECK raises
 // the identical error from the identical state.
 
@@ -349,12 +349,12 @@ t_Exit:
   goto writeback;
 
 exit_boundary:
-  // Conservative guard: this op's issue could reach min(stop_at,
-  // max_cycles), or a divide would trap.  Exit with the pre-op state; the
-  // caller takes one interpreted step, which re-derives the precise
-  // pause/throw/stall ordering.
+  // Conservative guard: this op's issue could reach max_cycles, or a
+  // divide would trap.  Exit with the pre-op state; the caller takes one
+  // interpreted step, which re-derives the precise stop/throw/stall
+  // ordering.
   core.pc_ = op->pc;
-  result.exit = TraceRun::Exit::kBoundary;
+  result.exit = TraceRun::Exit::kDeopt;
   result.deopt_cause = TraceExitCause::kBoundary;
   ++stats.deopt_boundary;
   goto writeback;

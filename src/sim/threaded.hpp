@@ -17,12 +17,12 @@
 // call/ret ends the current trace segment; the segment's terminating kExit
 // handler deoptimizes back to the interpreted fast path *at the exact
 // pre-op machine state*, so the interpreter — which is the reference for
-// boundary ordering (RunUntil pause vs max_cycles vs divide traps) —
-// re-derives every edge case itself.  Conservative per-op cycle guards
-// (`issue cycle >= min(stop_at, max_cycles)`) exit the same way, which is
-// what makes pause/resume and error states bit-identical to RunFast: a
-// trace exit always lands on a state RunFastSingle's loop could itself
-// have been in at its loop boundary.
+// boundary ordering (max_cycles vs divide traps) — re-derives every edge
+// case itself.  Conservative per-op cycle guards (`issue cycle >=
+// max_cycles`) exit the same way, which is what makes a stop at the cycle
+// limit and error states bit-identical to the other tiers: a trace exit
+// always lands on a state RunFastSingle's loop could itself have been in
+// at its loop boundary.
 //
 // Traces extend through not-taken conditional branches (superblocks) and
 // loop internally when a branch re-targets the trace head, so a hot inner
@@ -49,7 +49,7 @@ enum class TraceExitCause : std::uint8_t {
   kCallRet,     // next op is call/callr/ret
   kCap,         // block-walk length cap reached
   kEnd,         // walked off the end of the program
-  kBoundary,    // runtime guard: pause/max_cycles horizon or divide trap
+  kBoundary,    // runtime guard: max_cycles horizon or divide trap
 };
 
 /// Handler selector for one trace slot.  Order must match the handler
@@ -113,13 +113,13 @@ struct ThreadedStats {
 /// Outcome of executing one trace.
 struct TraceRun {
   enum class Exit : std::uint8_t {
-    kBranch,    // a taken branch left the trace; pc is the target
-    kDeopt,     // hit a kExit op; pc is the first untranslated op
-    kBoundary,  // conservative cycle guard or divide trap; pc unchanged
-                // state; the caller must take one interpreted step next
-    kHalt,      // the core executed halt inside the trace
+    kBranch,  // a taken branch left the trace; pc is the target
+    kDeopt,   // pc is an op the trace did not issue (a kExit op, or the
+              // cycle guard or a divide trap stopped before it); the
+              // caller must take one interpreted step next
+    kHalt,    // the core executed halt inside the trace
   };
-  Exit exit = Exit::kBoundary;
+  Exit exit = Exit::kDeopt;
   TraceExitCause deopt_cause = TraceExitCause::kBoundary;
   std::uint64_t executed = 0;  // instructions issued inside the trace
 };
@@ -128,10 +128,10 @@ struct TraceRun {
 class ThreadedExec {
  public:
   /// Runs `trace` starting at its head with the machine clock at `now`.
-  /// `limit` is min(stop_at, max_cycles): any op whose issue cycle would
-  /// reach it exits kBoundary *before* issuing, leaving a state identical
-  /// to a RunFastSingle loop boundary so the interpreter re-derives the
-  /// precise pause/throw ordering.  Updates now/last_issue and the core's
+  /// `limit` is max_cycles: any op whose issue cycle would reach it deopts
+  /// (cause kBoundary) *before* issuing, leaving a state identical to a
+  /// RunFastSingle loop boundary so the interpreter re-derives the precise
+  /// stop/throw ordering.  Updates now/last_issue and the core's
   /// registers, scoreboards, pc, next-issue cycle, and stats in bulk at
   /// exit.
   static TraceRun Run(Core& core, ThreadedTrace& trace, std::uint64_t& now,
@@ -140,8 +140,8 @@ class ThreadedExec {
 };
 
 /// Per-machine trace cache: heat counters, the pc -> trace index, and the
-/// translator.  Dropped wholesale on Snapshot::Restore (traces are derived
-/// state, rebuilt lazily, exactly like the DecodedProgram).
+/// translator.  Derived state, never serialized, exactly like the
+/// DecodedProgram.
 class ThreadedCache {
  public:
   /// How many times a control-transfer target must be reached before its

@@ -71,8 +71,6 @@ std::uint64_t ByteReader::U64() {
   return value;
 }
 
-std::int64_t ByteReader::I64() { return static_cast<std::int64_t>(U64()); }
-
 double ByteReader::F64() { return std::bit_cast<double>(U64()); }
 
 bool ByteReader::Bool() {
@@ -89,20 +87,6 @@ std::string ByteReader::Str() {
   const std::uint8_t* p = Need(static_cast<std::size_t>(n));
   return std::string(reinterpret_cast<const char*>(p),
                      static_cast<std::size_t>(n));
-}
-
-std::vector<std::uint64_t> ByteReader::U64Vec() {
-  const std::uint64_t n = U64();
-  FGPAR_CHECK_MSG(n * 8 <= remaining(),
-                  "truncated byte stream: vector of " + std::to_string(n) +
-                      " words with " + std::to_string(remaining()) +
-                      " bytes left");
-  std::vector<std::uint64_t> values;
-  values.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    values.push_back(U64());
-  }
-  return values;
 }
 
 void ByteReader::CheckFullyConsumed() const {

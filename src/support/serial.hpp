@@ -9,7 +9,7 @@
 //
 // HexEncode/HexDecode map byte blobs to lowercase hex for line-oriented
 // text formats (the sweep checkpoint journal), and Fnv1a64 provides the
-// stable content fingerprint used by snapshot identity checks and
+// stable content fingerprint used by snapshot identity hashes and
 // checkpoint grid fingerprints.
 #pragma once
 
@@ -52,11 +52,9 @@ class ByteReader {
   std::uint8_t U8();
   std::uint32_t U32();
   std::uint64_t U64();
-  std::int64_t I64();
   double F64();
   bool Bool();
   std::string Str();
-  std::vector<std::uint64_t> U64Vec();
 
   std::size_t remaining() const { return size_ - pos_; }
   /// Throws if any bytes were left unread (trailing garbage).

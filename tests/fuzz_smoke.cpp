@@ -40,7 +40,7 @@ std::string CheckSeed(std::uint64_t seed, int cores) {
     config.compile.num_cores = cores;
     config.seed = seed;
     // A generator or compiler bug that produces a non-terminating program
-    // must surface as a CycleBudgetError, not a hung CI job.
+    // must surface as a sim::CycleBudgetError, not a hung CI job.
     config.max_cycles = 50'000'000;
     (void)runner.Run(config);
     return "";

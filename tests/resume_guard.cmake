@@ -4,10 +4,10 @@
 # fig12 smoke grid:
 #
 #   run A  — uninterrupted: one grid point fails for real (--fault-point 1
-#            gives it a one-cycle budget, so its sequential run throws a
-#            CycleBudgetError), is quarantined after its one attempt
-#            within the failure budget, and emits a repro bundle; the run
-#            still exits 0.
+#            gives it a one-cycle budget, so its sequential run stops at
+#            cycle 1 and throws sim::CycleBudgetError), is quarantined
+#            after its one attempt within the failure budget, and emits a
+#            repro bundle; the run still exits 0.
 #   run B1 — same sweep, but FGPAR_SUPERVISOR_EXIT_AFTER=2 SIGKILLs the
 #            process right after the second point is journaled (a stand-in
 #            for an external kill -9 mid-sweep).  Must die nonzero.
@@ -20,7 +20,9 @@
 # report the recorded failure reproduces bit-exactly — failure text and
 # machine snapshot both, so a bundle without a snapshot fails the drill —
 # on the workload seed every other row of the table ran with (0x5eed): a
-# quarantined point is never reseeded.
+# quarantined point is never reseeded.  It replays the bundle once more
+# with --trace, which moves the measured parallel run to the slow loop;
+# that replay must reproduce too and write a non-empty trace file.
 #
 # Usage:
 #   cmake -DFIG12=<fig12_speedup exe> -DREPRO_TOOL=<fgpar-repro exe>
@@ -127,4 +129,22 @@ if(NOT stdout_repro MATCHES "seed 0x5eed\n")
   message(FATAL_ERROR
     "the repro bundle does not replay the table's workload seed 0x5eed:\n"
     "${stdout_repro}")
+endif()
+
+# ---- a traced replay must reproduce too ------------------------------------
+file(REMOVE "${WORK_DIR}/repro_trace.json")
+execute_process(
+  COMMAND ${REPRO_TOOL} "${WORK_DIR}/b/repro/repro_fig12_point1"
+    --trace "${WORK_DIR}/repro_trace.json"
+  OUTPUT_VARIABLE stdout_traced
+  ERROR_VARIABLE stderr_traced
+  RESULT_VARIABLE status_traced)
+if(NOT status_traced EQUAL 0 OR NOT stdout_traced MATCHES "reproduced")
+  message(FATAL_ERROR
+    "fgpar-repro --trace did not reproduce (${status_traced}):\n"
+    "${stdout_traced}${stderr_traced}")
+endif()
+file(SIZE "${WORK_DIR}/repro_trace.json" trace_size)
+if(trace_size EQUAL 0)
+  message(FATAL_ERROR "fgpar-repro --trace wrote an empty trace file")
 endif()

@@ -20,11 +20,14 @@
 //
 // The TierEquivalence tests extend the same contract to all 18 kernels and
 // all three run tiers: every kernel is swept through auto, fast, and slow
-// (RunConfig::force_tier) and all three must agree on every observable.
-// They are also registered as a standalone ctest label
-// (`ctest -L tier_equivalence`) so CI can gate on the sweep by name.
+// (RunConfig::force_tier) and all three must agree on every observable,
+// including where a run stops when it reaches its cycle limit.  They are
+// also registered as a standalone ctest label (`ctest -L
+// tier_equivalence`) so CI can gate on the sweep by name.
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -110,10 +113,39 @@ void ExpectRunsEqual(const harness::KernelRun& fast,
   EXPECT_DOUBLE_EQ(fast.speedup, slow.speedup) << id;
 }
 
+/// What RunConfig::on_failure saw when a run stopped at its cycle limit.
+struct LimitStop {
+  std::string error;
+  std::vector<std::uint8_t> snapshot;
+  std::uint64_t trace_enters = 0;
+};
+
+/// Runs `spec` under `config` with RunConfig::max_cycles at `limit`, which
+/// must stop it.
+LimitStop RunToLimit(const kernels::SequoiaKernel& spec,
+                     harness::RunConfig config, std::uint64_t limit) {
+  LimitStop stop;
+  config.max_cycles = limit;
+  config.on_failure = [&](const sim::Machine& machine, const Error&) {
+    stop.snapshot = machine.Snapshot();
+    stop.trace_enters = machine.threaded_stats().trace_enters;
+  };
+  try {
+    kernels::RunKernel(spec, config);
+    ADD_FAILURE() << spec.id << ": the cycle limit did not stop the run";
+  } catch (const sim::CycleBudgetError& e) {
+    stop.error = e.what();
+  }
+  return stop;
+}
+
 /// Runs `spec` under all three run tiers with otherwise-identical config
 /// and requires every KernelRun observable to agree.  The sequential leg
 /// of the auto run is single-core and hot, so it genuinely executes inside
-/// traces; its parallel leg runs the multi-core fast loop.
+/// traces; its parallel leg runs the multi-core fast loop.  Then each tier
+/// runs again with the cycle limit at half the sequential cycles: all
+/// three must report the same error and hand on_failure the same machine
+/// state.
 void CheckKernelTierEquivalence(const kernels::SequoiaKernel& spec,
                                 const kernels::ExperimentConfig& experiment) {
   harness::RunConfig config = kernels::ToRunConfig(experiment);
@@ -130,6 +162,24 @@ void CheckKernelTierEquivalence(const kernels::SequoiaKernel& spec,
   EXPECT_GT(traced.threaded_stats.trace_enters, 0u) << spec.id;
   EXPECT_EQ(fast.threaded_stats.trace_enters, 0u) << spec.id;
   EXPECT_EQ(slow.threaded_stats.trace_enters, 0u) << spec.id;
+
+  // The stop lands in the sequential run, which the auto leg runs in
+  // traces.
+  const std::uint64_t limit = slow.seq_cycles / 2;
+  config.force_tier = sim::RunTier::kSlow;
+  const LimitStop slow_stop = RunToLimit(spec, config, limit);
+  config.force_tier = sim::RunTier::kFast;
+  const LimitStop fast_stop = RunToLimit(spec, config, limit);
+  config.force_tier = sim::RunTier::kAuto;
+  const LimitStop traced_stop = RunToLimit(spec, config, limit);
+  EXPECT_EQ(fast_stop.error, slow_stop.error) << spec.id;
+  EXPECT_EQ(traced_stop.error, slow_stop.error) << spec.id;
+  EXPECT_FALSE(slow_stop.snapshot.empty()) << spec.id;
+  EXPECT_TRUE(fast_stop.snapshot == slow_stop.snapshot)
+      << spec.id << ": fast and slow stop states differ";
+  EXPECT_TRUE(traced_stop.snapshot == slow_stop.snapshot)
+      << spec.id << ": auto and slow stop states differ";
+  EXPECT_GT(traced_stop.trace_enters, 0u) << spec.id;
 }
 
 TEST(TierEquivalence, AllKernelsFourCores) {
@@ -291,6 +341,57 @@ TEST(FastSlowEquivalence, SingleCoreLoopIdentical) {
   EXPECT_EQ(fast_result.core0_halt_cycle, slow_result.core0_halt_cycle);
   EXPECT_EQ(fast_result.instructions, slow_result.instructions);
   ExpectCoreStatsEqual(fast, slow);
+}
+
+TEST(FastSlowEquivalence, CycleLimitStopsEveryTierAtTheLimit) {
+  // Core 0 enqueues at cycle 63 and halts; the value reaches core 1 at
+  // cycle 163, past the limit of 120.  While core 1 waits, the slow loop
+  // advances one cycle at a time and the fast loop jumps toward the
+  // arrival: every tier must stop at exactly cycle 120 in the same state.
+  isa::Assembler a;
+  isa::Label core0 = a.NewNamedLabel("core0");
+  isa::Label core1 = a.NewNamedLabel("core1");
+  a.Bind(core0);
+  a.LiI(isa::Gpr{1}, 0);
+  a.LiI(isa::Gpr{2}, 1);
+  for (int i = 0; i < 60; ++i) {
+    a.AddI(isa::Gpr{1}, isa::Gpr{1}, isa::Gpr{2});
+  }
+  a.LiI(isa::Gpr{3}, 7);
+  a.EnqI(1, isa::Gpr{3});
+  a.Halt();
+  a.Bind(core1);
+  a.DeqI(0, isa::Gpr{1});
+  a.Halt();
+  const isa::Program program = a.Finish();
+
+  std::vector<std::string> errors;
+  std::vector<std::vector<std::uint8_t>> snapshots;
+  for (const sim::RunTier tier :
+       {sim::RunTier::kAuto, sim::RunTier::kFast, sim::RunTier::kSlow}) {
+    sim::MachineConfig config;
+    config.num_cores = 2;
+    config.memory_words = 1 << 12;
+    config.queue.transfer_latency = 100;
+    config.max_cycles = 120;
+    config.force_tier = tier;
+    sim::Machine m(config, program);
+    m.StartCoreAt(0, "core0");
+    m.StartCoreAt(1, "core1");
+    try {
+      m.Run();
+      ADD_FAILURE() << "the cycle limit did not stop the run";
+    } catch (const sim::CycleBudgetError& e) {
+      errors.push_back(e.what());
+    }
+    EXPECT_EQ(m.now(), 120u);
+    snapshots.push_back(m.Snapshot());
+  }
+  ASSERT_EQ(errors.size(), 3u);
+  EXPECT_EQ(errors[0], errors[1]);
+  EXPECT_EQ(errors[1], errors[2]);
+  EXPECT_TRUE(snapshots[0] == snapshots[1]) << "auto and fast stop states differ";
+  EXPECT_TRUE(snapshots[1] == snapshots[2]) << "fast and slow stop states differ";
 }
 
 }  // namespace

@@ -129,6 +129,12 @@ TEST(QueueGuards, DequeueFromEmptyThrowsDiagnostic) {
     EXPECT_NE(std::string(e.what()).find("dequeue from empty hardware queue"),
               std::string::npos)
         << e.what();
+    // The location is relative to the checkout, so a repro bundle's
+    // recorded failure text matches a replay on any other checkout.
+    EXPECT_EQ(std::string(e.what()).rfind(
+                  "FGPAR_CHECK failed at src/sim/hw_queue.cpp:", 0),
+              0u)
+        << e.what();
   }
 }
 

@@ -3,15 +3,14 @@
 // The contract under test: traces, which the auto tier runs on single-core
 // machines, are an invisible accelerator.  Every observable — final cycle
 // count, per-core statistics, memory, snapshot bytes, error messages,
-// pause/resume behaviour — must be bit-identical to the fast and slow
-// tiers; only the sim.threaded.* counters (and host wall time) may differ.
-// These tests lock the deopt boundaries one by one: memory ops, telemetry
-// sinks, pause horizons, and divide traps must each hand control back to
-// the reference loops without divergence.
+// where a run stops at its cycle limit — must be bit-identical to the fast
+// and slow tiers; only the sim.threaded.* counters (and host wall time)
+// may differ.  These tests lock the deopt boundaries one by one: memory
+// ops, telemetry sinks, the cycle limit, and divide traps must each hand
+// control back to the reference loops without divergence.
 //
-// Snapshots deliberately exclude force_tier from the identity hash, so a
-// snapshot taken under one tier restores under another — which also lets
-// these tests compare final machine states across tiers byte-for-byte.
+// Snapshots deliberately exclude force_tier from the identity hash, which
+// lets these tests compare machine states across tiers byte-for-byte.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -73,11 +72,12 @@ isa::Program HotMemoryLoop(std::int64_t iterations) {
   return a.Finish();
 }
 
-sim::MachineConfig SingleCore(sim::RunTier tier) {
+sim::MachineConfig SingleCore(sim::RunTier tier, std::uint64_t max_cycles) {
   sim::MachineConfig config;
   config.num_cores = 1;
   config.memory_words = 1 << 12;
   config.force_tier = tier;
+  config.max_cycles = max_cycles;
   return config;
 }
 
@@ -85,8 +85,9 @@ sim::MachineConfig SingleCore(sim::RunTier tier) {
 /// Built in place: a Machine can be neither copied nor moved.
 class SingleMachine : public sim::Machine {
  public:
-  SingleMachine(const isa::Program& program, sim::RunTier tier)
-      : sim::Machine(SingleCore(tier), program) {
+  SingleMachine(const isa::Program& program, sim::RunTier tier,
+                std::uint64_t max_cycles = sim::MachineConfig{}.max_cycles)
+      : sim::Machine(SingleCore(tier, max_cycles), program) {
     StartCoreAt(0, "main");
   }
 };
@@ -146,46 +147,33 @@ TEST(SimThreaded, ColdCodeIsNeverTranslated) {
 }
 
 TEST(SimThreaded, PauseResumeMidHotLoopIsIdentical) {
+  // A cycle limit halfway through the hot loop: the auto tier reaches it
+  // inside a trace and must stop exactly there, with the error text and
+  // machine state of the fast and slow tiers.
   const isa::Program program = HotAluLoop(500);
-  SingleMachine uninterrupted(program, sim::RunTier::kAuto);
-  const sim::RunResult golden = uninterrupted.Run();
-  const std::vector<std::uint8_t> golden_bytes = uninterrupted.Snapshot();
+  SingleMachine probe(program, sim::RunTier::kAuto);
+  const std::uint64_t limit = probe.Run().cycles / 2;
 
-  // Pause deep inside the hot loop — mid-trace from the user's viewpoint.
-  SingleMachine paused(program, sim::RunTier::kAuto);
-  const sim::PauseResult pause = paused.RunUntil(golden.cycles / 2);
-  ASSERT_FALSE(pause.finished);
-
-  // Restoring drops the trace cache (derived state); the resumed machine
-  // re-translates lazily and still finishes bit-identically.
-  SingleMachine resumed(program, sim::RunTier::kAuto);
-  resumed.Restore(paused.Snapshot());
-  EXPECT_EQ(resumed.threaded_stats().trace_enters, 0u)
-      << "Restore must reset derived trace state";
-  const sim::RunResult result = resumed.Run();
-  EXPECT_EQ(result.cycles, golden.cycles);
-  EXPECT_EQ(result.core0_halt_cycle, golden.core0_halt_cycle);
-  EXPECT_EQ(result.instructions, golden.instructions);
-  EXPECT_EQ(resumed.Snapshot(), golden_bytes);
-}
-
-TEST(SimThreaded, SnapshotRestoresAcrossTiers) {
-  // A snapshot taken under the auto tier restores into a fast-tier
-  // machine (and vice versa): force_tier is not part of machine identity.
-  const isa::Program program = HotAluLoop(500);
-  SingleMachine traced(program, sim::RunTier::kAuto);
-  const sim::PauseResult pause = traced.RunUntil(200);
-  ASSERT_FALSE(pause.finished);
-
-  SingleMachine fast(program, sim::RunTier::kFast);
-  fast.Restore(traced.Snapshot());
-  const sim::RunResult cross = fast.Run();
-
-  SingleMachine reference(program, sim::RunTier::kFast);
-  const sim::RunResult golden = reference.Run();
-  EXPECT_EQ(cross.cycles, golden.cycles);
-  EXPECT_EQ(cross.instructions, golden.instructions);
-  EXPECT_EQ(fast.Snapshot(), reference.Snapshot());
+  std::vector<std::string> errors;
+  std::vector<std::vector<std::uint8_t>> snapshots;
+  for (const sim::RunTier tier :
+       {sim::RunTier::kAuto, sim::RunTier::kFast, sim::RunTier::kSlow}) {
+    SingleMachine m(program, tier, limit);
+    try {
+      m.Run();
+      ADD_FAILURE() << "the cycle limit did not stop the run";
+    } catch (const sim::CycleBudgetError& e) {
+      errors.push_back(e.what());
+    }
+    EXPECT_EQ(m.now(), limit);
+    EXPECT_EQ(m.threaded_stats().trace_enters > 0, tier == sim::RunTier::kAuto);
+    snapshots.push_back(m.Snapshot());
+  }
+  ASSERT_EQ(errors.size(), 3u);
+  EXPECT_EQ(errors[0], errors[1]);
+  EXPECT_EQ(errors[1], errors[2]);
+  EXPECT_TRUE(snapshots[0] == snapshots[1]) << "auto and fast stop states differ";
+  EXPECT_TRUE(snapshots[1] == snapshots[2]) << "fast and slow stop states differ";
 }
 
 TEST(SimThreaded, TelemetrySinkForcesTheReferenceLoop) {

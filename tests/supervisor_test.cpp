@@ -18,6 +18,7 @@
 #include "harness/supervisor.hpp"
 #include "kernels/experiments.hpp"
 #include "support/error.hpp"
+#include "support/telemetry/sinks.hpp"
 
 namespace {
 
@@ -368,7 +369,7 @@ TEST(Supervisor, CycleBudgetAbortsRunsAsCycleBudgetError) {
   experiment.cores = 2;
   harness::RunConfig config = kernels::ToRunConfig(experiment);
   config.max_cycles = 50;  // far below any real kernel's runtime
-  EXPECT_THROW(kernels::RunKernel(kernel, config), harness::CycleBudgetError);
+  EXPECT_THROW(kernels::RunKernel(kernel, config), sim::CycleBudgetError);
 }
 
 TEST(Supervisor, FailureHookSeesTheFailedMachine) {
@@ -385,9 +386,50 @@ TEST(Supervisor, FailureHookSeesTheFailedMachine) {
     ++hook_calls;
     snapshot = machine.Snapshot();
   };
-  EXPECT_THROW(kernels::RunKernel(kernel, config), harness::CycleBudgetError);
+  EXPECT_THROW(kernels::RunKernel(kernel, config), sim::CycleBudgetError);
   EXPECT_EQ(hook_calls, 1);
   EXPECT_FALSE(snapshot.empty());
+}
+
+TEST(Supervisor, TracedReplayReproducesParallelBudgetFailure) {
+  // lammps-4 at 2 cores finishes its sequential run (66,644 cycles) within
+  // the budget and stops in its parallel run.  A telemetry sink, which
+  // fgpar-repro --trace installs, moves that run to the slow loop; where
+  // it stops must not move with it.
+  const kernels::SequoiaKernel& kernel = kernels::SequoiaKernelById("lammps-4");
+  kernels::ExperimentConfig experiment;
+  experiment.cores = 2;
+  struct Failure {
+    std::string message;
+    std::vector<std::uint8_t> snapshot;
+  };
+  const auto fail = [&](telemetry::TelemetrySink* sink) {
+    harness::RunConfig config = kernels::ToRunConfig(experiment);
+    config.max_cycles = 68134;
+    config.telemetry = sink;
+    Failure failure;
+    config.on_failure = [&](const sim::Machine& machine, const Error&) {
+      failure.snapshot = machine.Snapshot();
+    };
+    try {
+      kernels::RunKernel(kernel, config);
+      ADD_FAILURE() << "the cycle budget did not stop the run";
+    } catch (const sim::CycleBudgetError& e) {
+      failure.message = e.what();
+    }
+    return failure;
+  };
+  const Failure plain = fail(nullptr);
+  telemetry::AggregatingSink sink;
+  const Failure traced = fail(&sink);
+  EXPECT_NE(plain.message.find("parallel execution"), std::string::npos)
+      << plain.message;
+  EXPECT_EQ(traced.message, plain.message);
+  EXPECT_FALSE(plain.snapshot.empty());
+  EXPECT_TRUE(traced.snapshot == plain.snapshot)
+      << "the traced replay stopped in a different machine state";
+  EXPECT_GT(sink.SimCount(telemetry::SimEventKind::kIssue), 0u)
+      << "the sink must have traced the parallel run";
 }
 
 // ---- repro bundles --------------------------------------------------------

@@ -23,7 +23,9 @@
 // trace_event file — compile pass spans plus the parallel run's
 // per-core issue, queue, and stall events — written whether or not the
 // failure reproduces, so "what was the machine doing when it died" is
-// inspectable at ui.perfetto.dev.
+// inspectable at ui.perfetto.dev.  Tracing runs the parallel machine in
+// the slow loop, which stops at a cycle budget in the same state as the
+// fast tiers, so a traced replay reproduces whatever a plain one does.
 #include <cstdio>
 #include <cstring>
 #include <string>
