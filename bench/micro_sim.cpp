@@ -6,10 +6,10 @@
 // Coverage of the three run tiers (see docs/INTERNALS.md):
 //  * BM_CoreIssueThroughputThreaded  — the auto tier, whose single-core
 //    loop runs hot blocks as direct-threaded traces;
-//  * BM_CoreIssueThroughput          — fast path, predecoded dispatch
-//    (pinned with force_tier = kFast, which never enters traces);
+//  * BM_CoreIssueThroughput          — the fast loop (pinned with
+//    force_tier = kFast, which never enters traces);
 //  * BM_CoreIssueThroughputSlowPath  — same program on the instrumented
-//    reference loop, i.e. the decoded-cache off configuration; the
+//    reference loop, which steps the core every cycle it is free; the
 //    ratios between the three are the per-tier speedups;
 //  * BM_MachineFastForward           — a machine that is mostly idle
 //    (long unpipelined latencies on one core, the rest blocked on
@@ -96,9 +96,8 @@ void BM_CoreIssueThroughput(benchmark::State& state) {
 BENCHMARK(BM_CoreIssueThroughput)->Arg(1000)->Arg(10000);
 
 void BM_CoreIssueThroughputSlowPath(benchmark::State& state) {
-  // The instrumented reference loop on the same program: decoded-cache and
-  // issue-skip off.  Compare against BM_CoreIssueThroughput for the
-  // fast-path speedup.
+  // The instrumented reference loop on the same program.  Compare against
+  // BM_CoreIssueThroughput for the fast-path speedup.
   const isa::Program program = IssueLoopProgram(state.range(0));
   std::uint64_t instructions = 0;
   for (auto _ : state) {

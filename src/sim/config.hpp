@@ -24,8 +24,8 @@ namespace fgpar::sim {
 ///            blocks as direct-threaded traces (sim/threaded.hpp).  A
 ///            telemetry sink routes the run to the slow loop.
 ///  * kSlow — the instrumented reference loop (RunSlow).
-///  * kFast — the predecoded fast loop (RunFast / RunFastSingle), never
-///            the translator.
+///  * kFast — the fast loop (RunFast / RunFastSingle), never the
+///            translator.
 enum class RunTier : std::uint8_t { kAuto = 0, kSlow, kFast };
 
 /// Parses "auto", "slow", or "fast"; throws fgpar::Error on any other name.

@@ -10,7 +10,6 @@
 
 namespace fgpar::sim {
 
-using isa::Instruction;
 using isa::Opcode;
 
 QueueMatrix::QueueMatrix(int num_cores, const QueueConfig& config)
@@ -140,157 +139,9 @@ void Core::set_fpr(int index, double value) {
   fpr_[static_cast<std::size_t>(index)] = value;
 }
 
-std::uint64_t Core::SourcesReadyAt(const Instruction& instr) const {
-  std::uint64_t ready = 0;
-  auto gready = [&](std::uint8_t r) { ready = std::max(ready, gpr_ready_[r]); };
-  auto fready = [&](std::uint8_t r) { ready = std::max(ready, fpr_ready_[r]); };
-  switch (instr.op) {
-    // int dst, gpr sources a and b
-    case Opcode::kAddI: case Opcode::kSubI: case Opcode::kMulI: case Opcode::kDivI:
-    case Opcode::kRemI: case Opcode::kAndI: case Opcode::kOrI: case Opcode::kXorI:
-    case Opcode::kShlI: case Opcode::kShrI: case Opcode::kMinI: case Opcode::kMaxI:
-    case Opcode::kCeqI: case Opcode::kCneI: case Opcode::kCltI: case Opcode::kCleI:
-      gready(instr.src1);
-      gready(instr.src2);
-      break;
-    case Opcode::kMovI:
-      gready(instr.src1);
-      break;
-    case Opcode::kLiI: case Opcode::kLiF: case Opcode::kJmp: case Opcode::kCall:
-    case Opcode::kRet: case Opcode::kHalt: case Opcode::kNop:
-      break;
-    case Opcode::kAddF: case Opcode::kSubF: case Opcode::kMulF: case Opcode::kDivF:
-    case Opcode::kMinF: case Opcode::kMaxF: case Opcode::kCeqF: case Opcode::kCltF:
-    case Opcode::kCleF:
-      fready(instr.src1);
-      fready(instr.src2);
-      break;
-    case Opcode::kFmaF:
-      fready(instr.src1);
-      fready(instr.src2);
-      fready(instr.dst);  // accumulator is read-modify-write
-      break;
-    case Opcode::kNegF: case Opcode::kAbsF: case Opcode::kSqrtF: case Opcode::kMovF:
-      fready(instr.src1);
-      break;
-    case Opcode::kItoF:
-      gready(instr.src1);
-      break;
-    case Opcode::kFtoI:
-      fready(instr.src1);
-      break;
-    case Opcode::kLdI: case Opcode::kLdF:
-      gready(instr.src1);
-      break;
-    case Opcode::kLdIX: case Opcode::kLdFX:
-      gready(instr.src1);
-      gready(instr.src2);
-      break;
-    case Opcode::kStI:
-      gready(instr.src1);
-      gready(instr.dst);  // value register
-      break;
-    case Opcode::kStIX:
-      gready(instr.src1);
-      gready(instr.src2);
-      gready(instr.dst);
-      break;
-    case Opcode::kStF:
-      gready(instr.src1);
-      fready(instr.dst);
-      break;
-    case Opcode::kStFX:
-      gready(instr.src1);
-      gready(instr.src2);
-      fready(instr.dst);
-      break;
-    case Opcode::kBz: case Opcode::kBnz: case Opcode::kCallR:
-      gready(instr.src1);
-      break;
-    case Opcode::kEnqI:
-      gready(instr.src1);
-      break;
-    case Opcode::kEnqF:
-      fready(instr.src1);
-      break;
-    case Opcode::kDeqI: case Opcode::kDeqF:
-      break;
-  }
-  return ready;
-}
-
-StepOutcome Core::Step(std::uint64_t now, const isa::Program& program,
-                       MemorySystem& memory, QueueMatrix& queues) {
-  stalled_deq_remote_ = -1;
-  stalled_enq_remote_ = -1;
-  if (!started_) {
-    return StepOutcome::kIdle;
-  }
-  if (halted_) {
-    return StepOutcome::kHalted;
-  }
-  if (next_issue_ > now) {
-    return StepOutcome::kPipelineBusy;
-  }
-  const Instruction& instr = program.at(pc_);
-
-  // Register scoreboard: wait for source operands.  The wait depends only
-  // on this core's own state, so it is safe to fast-forward the issue stage
-  // to the ready cycle.
-  const std::uint64_t ready = SourcesReadyAt(instr);
-  if (ready > now) {
-    stats_.stall_raw += ready - now;
-    next_issue_ = ready;
-    return StepOutcome::kPipelineBusy;
-  }
-
-  // Queue readiness must be evaluated cycle-by-cycle, because it depends on
-  // other cores.
-  if (isa::IsEnqueue(instr.op)) {
-    HardwareQueue& q = isa::IsFpQueueOp(instr.op)
-                           ? queues.FpQueue(id_, instr.queue)
-                           : queues.IntQueue(id_, instr.queue);
-    if (!q.CanEnqueue()) {
-      stalled_enq_remote_ = instr.queue;
-      stalled_enq_fp_ = isa::IsFpQueueOp(instr.op);
-      return StepOutcome::kStallEnqFull;
-    }
-  } else if (isa::IsDequeue(instr.op)) {
-    HardwareQueue& q = isa::IsFpQueueOp(instr.op)
-                           ? queues.FpQueue(instr.queue, id_)
-                           : queues.IntQueue(instr.queue, id_);
-    if (!q.CanDequeue(now)) {
-      stalled_deq_remote_ = instr.queue;
-      stalled_deq_fp_ = isa::IsFpQueueOp(instr.op);
-      return StepOutcome::kStallDeqEmpty;
-    }
-  }
-
-  Execute(now, instr, memory, queues);
-  ++stats_.instructions;
-  return StepOutcome::kIssued;
-}
-
-void Core::Execute(std::uint64_t now, const Instruction& instr, MemorySystem& memory,
+void Core::Execute(std::uint64_t now, const DecodedInstruction& instr,
+                   std::uint64_t taken_branch_busy, MemorySystem& memory,
                    QueueMatrix& queues) {
-  const CoreTiming& t = config_.timing;
-  const int lat = isa::IsLoad(instr.op) || isa::IsStore(instr.op)
-                      ? 0  // determined inside ExecuteImpl
-                      : ResultLatency(t, instr.op);
-  const std::uint64_t unpipelined_busy =
-      IsUnpipelined(instr.op)
-          ? static_cast<std::uint64_t>(ResultLatency(t, instr.op))
-          : 0;
-  ExecuteImpl(now, instr, lat, unpipelined_busy,
-              1 + static_cast<std::uint64_t>(t.taken_branch_penalty), memory,
-              queues);
-}
-
-template <typename InstrT>
-void Core::ExecuteImpl(std::uint64_t now, const InstrT& instr,
-                       int result_latency, std::uint64_t unpipelined_busy,
-                       std::uint64_t taken_branch_busy, MemorySystem& memory,
-                       QueueMatrix& queues) {
   const CoreTiming& t = config_.timing;
   std::int64_t next_pc = pc_ + 1;
   std::uint64_t issue_busy = 1;  // default: fully pipelined, 1 instr/cycle
@@ -306,7 +157,7 @@ void Core::ExecuteImpl(std::uint64_t now, const InstrT& instr,
   };
   auto g = [&](std::uint8_t r) { return gpr_[r]; };
   auto f = [&](std::uint8_t r) { return fpr_[r]; };
-  const int lat = result_latency;
+  const int lat = instr.result_latency;
 
   // Integer add/sub/mul wrap (two's complement), like the modeled hardware;
   // computing through uint64 keeps the wrap defined in C++.
@@ -473,8 +324,8 @@ void Core::ExecuteImpl(std::uint64_t now, const InstrT& instr,
     }
   }
 
-  if (unpipelined_busy != 0) {
-    issue_busy = unpipelined_busy;
+  if (instr.unpipelined_busy != 0) {
+    issue_busy = static_cast<std::uint64_t>(instr.unpipelined_busy);
   } else if (taken_branch) {
     issue_busy = taken_branch_busy;
   }
@@ -482,13 +333,15 @@ void Core::ExecuteImpl(std::uint64_t now, const InstrT& instr,
   pc_ = next_pc;
 }
 
-StepOutcome Core::StepFast(std::uint64_t now, const DecodedProgram& program,
-                           MemorySystem& memory, QueueMatrix& queues) {
+StepOutcome Core::Step(std::uint64_t now, const DecodedProgram& program,
+                       MemorySystem& memory, QueueMatrix& queues) {
   stalled_deq_remote_ = -1;
   stalled_enq_remote_ = -1;
   const DecodedInstruction& di = program.at(pc_);
 
-  // Register scoreboard over the predecoded source lists.
+  // Register scoreboard over the predecoded source lists.  The wait
+  // depends only on this core's own state, so it is safe to fast-forward
+  // the issue stage to the ready cycle.
   std::uint64_t ready = 0;
   for (int i = 0; i < di.num_gpr_srcs; ++i) {
     ready = std::max(ready, gpr_ready_[di.gpr_srcs[i]]);
@@ -502,6 +355,8 @@ StepOutcome Core::StepFast(std::uint64_t now, const DecodedProgram& program,
     return StepOutcome::kPipelineBusy;
   }
 
+  // Queue readiness must be evaluated cycle-by-cycle, because it depends on
+  // other cores.
   if (di.is_enqueue) {
     HardwareQueue& q = di.is_fp_queue ? queues.FpQueue(id_, di.queue)
                                       : queues.IntQueue(id_, di.queue);
@@ -520,9 +375,7 @@ StepOutcome Core::StepFast(std::uint64_t now, const DecodedProgram& program,
     }
   }
 
-  ExecuteImpl(now, di, di.result_latency,
-              static_cast<std::uint64_t>(di.unpipelined_busy),
-              program.taken_branch_busy(), memory, queues);
+  Execute(now, di, program.taken_branch_busy(), memory, queues);
   ++stats_.instructions;
   return StepOutcome::kIssued;
 }

@@ -1,12 +1,13 @@
 // In-order scoreboarded core model.
 //
 // The core approximates a Blue Gene/Q A2 hardware thread: single-issue,
-// in-order, pipelined.  Each cycle it tries to issue the instruction at pc;
-// issue waits until all source registers are ready (a register scoreboard),
-// until the divide/sqrt unit is free (those are unpipelined), and — for the
-// paper's queue instructions — until the hardware queue can accept or
-// supply a value.  Results become ready `ResultLatency` cycles after issue;
-// loads get their latency from the MemorySystem.
+// in-order, pipelined.  Core::Step tries to issue the instruction at pc,
+// read from the machine's DecodedProgram; issue waits until all source
+// registers are ready (a register scoreboard), until the divide/sqrt unit
+// is free (those are unpipelined), and — for the paper's queue
+// instructions — until the hardware queue can accept or supply a value.
+// Results become ready `ResultLatency` cycles after issue; loads get their
+// latency from the MemorySystem.  Every run loop issues through Step.
 //
 // Functional and timing state are updated together at issue, which is safe
 // for a single-issue in-order core because any consumer is held back by the
@@ -74,8 +75,7 @@ enum class StepOutcome {
   kPipelineBusy,  // issue stage busy (multi-cycle op or RAW fast-forward)
   kStallDeqEmpty, // dequeue waiting for a value to arrive
   kStallEnqFull,  // enqueue waiting for a free slot
-  kHalted,        // core has executed halt
-  kIdle,          // core was never started
+  kIdle,          // not evaluated (a run loop's initial outcome)
 };
 
 struct CoreStats {
@@ -106,18 +106,11 @@ class Core {
   std::int64_t pc() const { return pc_; }
   int id() const { return id_; }
 
-  /// Attempts to issue one instruction at cycle `now`.
-  StepOutcome Step(std::uint64_t now, const isa::Program& program,
+  /// Attempts to issue the instruction at pc at cycle `now`.  The caller
+  /// (one of Machine's run loops) must guarantee the core is started, not
+  /// halted, and its issue stage is free (next_issue_cycle() <= now).
+  StepOutcome Step(std::uint64_t now, const DecodedProgram& program,
                    MemorySystem& memory, QueueMatrix& queues);
-
-  /// Fast-path issue attempt against a predecoded program: no per-issue
-  /// opcode re-classification.  The caller (Machine's fast run loop) must
-  /// guarantee the core is started, not halted, and its issue stage is
-  /// free (next_issue_cycle() <= now); Step's corresponding early-outs are
-  /// deliberately absent here.  Timing and functional behaviour are
-  /// bit-identical to Step — the golden cycle tests lock this equivalence.
-  StepOutcome StepFast(std::uint64_t now, const DecodedProgram& program,
-                       MemorySystem& memory, QueueMatrix& queues);
 
   /// Earliest cycle at which the issue stage is free again.
   std::uint64_t next_issue_cycle() const { return next_issue_; }
@@ -148,23 +141,12 @@ class Core {
   void SaveState(ByteWriter& w) const;
 
  private:
-  /// Latest ready-cycle among the instruction's source registers.
-  std::uint64_t SourcesReadyAt(const isa::Instruction& instr) const;
-  void Execute(std::uint64_t now, const isa::Instruction& instr,
-               MemorySystem& memory, QueueMatrix& queues);
-
-  /// The single functional+timing execute switch, shared by Step (which
-  /// derives latencies per issue) and StepFast (which reads them from the
-  /// DecodedInstruction).  `result_latency` is the non-memory result
-  /// latency, `unpipelined_busy` is the issue-stage occupancy for
-  /// unpipelined ops (0 = pipelined), `taken_branch_busy` the occupancy of
-  /// a taken branch.  Sharing one switch means the two simulator paths can
-  /// never diverge on architectural state, only on (golden-tested) timing.
-  template <typename InstrT>
-  void ExecuteImpl(std::uint64_t now, const InstrT& instr, int result_latency,
-                   std::uint64_t unpipelined_busy,
-                   std::uint64_t taken_branch_busy, MemorySystem& memory,
-                   QueueMatrix& queues);
+  /// The functional+timing execute switch.  Latencies and issue-stage
+  /// occupancies come precomputed from the DecodedInstruction; a taken
+  /// branch occupies the issue stage for `taken_branch_busy` cycles.
+  void Execute(std::uint64_t now, const DecodedInstruction& instr,
+               std::uint64_t taken_branch_busy, MemorySystem& memory,
+               QueueMatrix& queues);
 
   int id_;
   int physical_core_;

@@ -1,15 +1,13 @@
-// Predecoded instruction cache for the simulator fast path.
+// Predecoded instructions: the form every simulated core issues from.
 //
-// A DecodedProgram is built once per Machine (lazily, on the first
-// fast-path Run) from the Program and that machine's CoreTiming.  Each
-// entry carries everything Core::StepFast needs to issue without consulting
-// a single opcode switch outside Execute: the flat source-register lists
-// (isa::OperandsOf), the precomputed result latency, the unpipelined
-// issue-stage occupancy, and the queue-op classification.  Instruction
-// *semantics* are not duplicated here — both simulator paths execute
-// through the same Core::ExecuteImpl switch, so a decode bug can skew
-// timing (caught by the golden cycle tests) but can never diverge
-// functional state.
+// A DecodedProgram is built once per Machine, in its constructor, from the
+// Program and that machine's CoreTiming.  Each entry carries everything
+// Core::Step needs to issue without re-classifying the opcode: the flat
+// source-register lists, the precomputed result latency, the unpipelined
+// issue-stage occupancy, and the queue-op classification.  Every run loop
+// and the direct-threaded traces (sim/threaded.hpp) read these same
+// entries, so the tiers cannot disagree on an instruction's operands or
+// latencies.
 #pragma once
 
 #include <cstdint>
@@ -21,8 +19,8 @@
 
 namespace fgpar::sim {
 
-/// One predecoded instruction.  Field names mirror isa::Instruction so the
-/// shared Core::ExecuteImpl template works on either representation.
+/// One predecoded instruction: the isa::Instruction fields Core::Execute
+/// reads, plus the issue metadata below.
 struct DecodedInstruction {
   isa::Opcode op = isa::Opcode::kNop;
   std::uint8_t dst = 0;

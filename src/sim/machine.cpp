@@ -47,6 +47,7 @@ std::string StallReport::Describe() const {
 Machine::Machine(MachineConfig config, isa::Program program)
     : config_(config),
       program_(std::move(program)),
+      decoded_(program_, config_.timing),
       memory_(config.cache, PhysicalCoreCount(config), config.memory_words),
       queues_(config.num_cores, config.queue) {
   FGPAR_CHECK(config_.num_cores >= 1);
@@ -96,9 +97,6 @@ RunResult Machine::Run() {
   if (tier == RunTier::kSlow) {
     return RunSlow();
   }
-  if (!decoded_) {
-    decoded_ = std::make_unique<DecodedProgram>(program_, config_.timing);
-  }
   if (config_.num_cores > 1) {
     return RunFast();
   }
@@ -136,8 +134,8 @@ RunResult Machine::RunSlow() {
 
   // `outcomes_` is only cleared once per Run, not once per cycle: a slot is
   // rewritten whenever its core is evaluated, and stale slots are only ever
-  // read in the fast-forward accounting below, which runs when *no* core
-  // issued — a cycle in which every active core was evaluated.
+  // read by ChargeSkippedStalls, which runs when *no* core issued — a cycle
+  // in which every active core was evaluated.
   outcomes_.assign(cores_.size(), StepOutcome::kIdle);
   std::vector<StepOutcome>& outcomes = outcomes_;
   const int tpc = config_.threads_per_core;
@@ -155,17 +153,28 @@ RunResult Machine::RunSlow() {
       const int base = p * tpc;
       const int count = std::min(tpc, config_.num_cores - base);
       const int start = static_cast<int>(now_ % static_cast<std::uint64_t>(count));
-      bool slot_taken = false;
-      for (int k = 0; k < count && !slot_taken; ++k) {
+      for (int k = 0; k < count; ++k) {
         const std::size_t c = static_cast<std::size_t>(base + (start + k) % count);
-        const std::int64_t pc_before = cores_[c].pc();
-        outcomes[c] = cores_[c].Step(now_, program_, memory_, queues_);
+        Core& core = cores_[c];
+        if (!core.started() || core.halted()) {
+          continue;  // outcome slot stays non-stall forever; never re-read
+        }
+        if (core.next_issue_cycle() > now_) {
+          outcomes[c] = StepOutcome::kPipelineBusy;
+          TelemetryStall(c, telemetry::StallCause::kPipeline);
+          continue;
+        }
+        const std::int64_t pc_before = core.pc();
+        outcomes[c] = core.Step(now_, decoded_, memory_, queues_);
         switch (outcomes[c]) {
           case StepOutcome::kIssued:
             issued_any = true;
-            slot_taken = true;
-            if (cores_[c].halted()) {
+            if (core.halted()) {
               --running;
+              if (c == 0 && !core0_halt_recorded_) {
+                core0_halt_recorded_ = true;
+                core0_halt_cycle_ = now_;
+              }
             }
             if (telemetry_ != nullptr) {
               TelemetryStallEnd(c);
@@ -173,11 +182,11 @@ RunResult Machine::RunSlow() {
             }
             break;
           case StepOutcome::kStallDeqEmpty:
-            ++cores_[c].mutable_stats().stall_queue_empty;
+            ++core.mutable_stats().stall_queue_empty;
             TelemetryStall(c, telemetry::StallCause::kQueueEmpty);
             break;
           case StepOutcome::kStallEnqFull:
-            ++cores_[c].mutable_stats().stall_queue_full;
+            ++core.mutable_stats().stall_queue_full;
             TelemetryStall(c, telemetry::StallCause::kQueueFull);
             break;
           case StepOutcome::kPipelineBusy:
@@ -186,9 +195,8 @@ RunResult Machine::RunSlow() {
           default:
             break;
         }
-        if (cores_[c].halted() && c == 0 && !core0_halt_recorded_) {
-          core0_halt_recorded_ = true;
-          core0_halt_cycle_ = now_;
+        if (outcomes[c] == StepOutcome::kIssued) {
+          break;  // SMT: the physical core's single issue slot is taken
         }
       }
     }
@@ -235,30 +243,32 @@ RunResult Machine::RunSlow() {
       throw DeadlockError(BuildStallReport());
     }
     next_event = std::min(next_event, config_.max_cycles);
-    // Account the skipped cycles as queue-stall time where applicable.
-    const std::uint64_t skipped = next_event - now_;
-    for (std::size_t c = 0; c < cores_.size(); ++c) {
-      if (outcomes[c] == StepOutcome::kStallDeqEmpty) {
-        cores_[c].mutable_stats().stall_queue_empty += skipped;
-      } else if (outcomes[c] == StepOutcome::kStallEnqFull) {
-        cores_[c].mutable_stats().stall_queue_full += skipped;
-      }
-    }
+    ChargeSkippedStalls(next_event);
     now_ = next_event;
   }
 
   return FinishResult();
 }
 
+void Machine::ChargeSkippedStalls(std::uint64_t next_event) {
+  const std::uint64_t skipped = next_event - now_ - 1;
+  for (std::size_t c = 0; c < cores_.size(); ++c) {
+    if (outcomes_[c] == StepOutcome::kStallDeqEmpty) {
+      cores_[c].mutable_stats().stall_queue_empty += skipped;
+    } else if (outcomes_[c] == StepOutcome::kStallEnqFull) {
+      cores_[c].mutable_stats().stall_queue_full += skipped;
+    }
+  }
+}
+
 RunResult Machine::RunFast() {
   // Fast path: no trace sink.  The loop mirrors RunSlow cycle-for-cycle —
   // same SMT slot arbitration, same intra-cycle core order, same
-  // fast-forward events, same stall accounting — but (a) issues through
-  // the predecoded instruction cache and (b) skips the full issue attempt
-  // for cores that provably cannot issue this cycle: pipeline-busy cores
-  // and cores still blocked on the same queue condition that stalled them
-  // last evaluation.  A skipped blocked core costs two loads and a compare
-  // instead of a Step call.
+  // fast-forward events, same stall accounting — but skips the issue
+  // attempt for cores still blocked on the same queue condition that
+  // stalled them last evaluation, and jumps straight to a queue head's
+  // arrival.  A skipped blocked core costs two loads and a compare instead
+  // of a Step call.
   //
   // The skip is sound because a queue-stalled core's state is frozen until
   // its queue condition changes: its pc is unchanged, its source operands
@@ -266,8 +276,6 @@ RunResult Machine::RunFast() {
   // the core itself issues), and its issue stage is free.  Re-evaluating
   // CanEnqueue/CanDequeue at the core's exact position in the cycle order
   // therefore reproduces precisely what Step would have concluded.
-  const DecodedProgram& dp = *decoded_;
-
   constexpr std::uint64_t kNoEvent = std::numeric_limits<std::uint64_t>::max();
   int running = RunningCores();
 
@@ -318,7 +326,7 @@ RunResult Machine::RunFast() {
             continue;
           }
         }
-        const StepOutcome outcome = core.StepFast(now_, dp, memory_, queues_);
+        const StepOutcome outcome = core.Step(now_, decoded_, memory_, queues_);
         outcomes[c] = outcome;
         switch (outcome) {
           case StepOutcome::kIssued:
@@ -359,10 +367,9 @@ RunResult Machine::RunFast() {
     // time while any dequeue-blocked queue has a value in flight, this loop
     // jumps straight to the head's arrival: nothing can issue in between
     // (queue contents are frozen while no core issues, and every
-    // pipeline-free cycle is in the event set), so the only observable
-    // difference is the stall accounting, compensated for exactly below.
+    // pipeline-free cycle is in the event set), and a stalled core is
+    // charged the same for a crawled cycle and a skipped one.
     std::uint64_t next_event = kNoEvent;
-    bool crawl = false;  // would the reference loop advance cycle-by-cycle?
     for (std::size_t c = 0; c < cores_.size(); ++c) {
       const Core& core = cores_[c];
       if (!core.started() || core.halted()) {
@@ -381,7 +388,6 @@ RunResult Machine::RunFast() {
         // strictly in the future; its arrival is this core's next event.
         if (!q.empty()) {
           next_event = std::min(next_event, q.HeadArrival());
-          crawl = true;
         }
       }
       // Cores stalled on a full queue depend on another core's progress;
@@ -392,23 +398,7 @@ RunResult Machine::RunFast() {
       throw DeadlockError(BuildStallReport());
     }
     next_event = std::min(next_event, config_.max_cycles);
-    // Stall accounting, matched to the reference loop.  Jumping k cycles
-    // with no in-flight value pending charges each stalled core k (one per
-    // skipped fast-forward).  When a value is in flight, the reference
-    // loop instead crawls those k cycles one at a time, so each stalled
-    // core is charged twice per cycle — once by its re-check and once by
-    // the single-cycle fast-forward — except the landing cycle's re-check,
-    // which both loops perform normally (or, at max_cycles, neither
-    // performs): 2k - 1.
-    const std::uint64_t skipped = next_event - now_;
-    const std::uint64_t charge = crawl ? 2 * skipped - 1 : skipped;
-    for (std::size_t c = 0; c < cores_.size(); ++c) {
-      if (outcomes[c] == StepOutcome::kStallDeqEmpty) {
-        cores_[c].mutable_stats().stall_queue_empty += charge;
-      } else if (outcomes[c] == StepOutcome::kStallEnqFull) {
-        cores_[c].mutable_stats().stall_queue_full += charge;
-      }
-    }
+    ChargeSkippedStalls(next_event);
     now_ = next_event;
   }
 
@@ -421,13 +411,12 @@ RunResult Machine::RunFastSingle(bool traced) {
   // step can only issue or wait on its own pipeline — no SMT arbitration,
   // no queue-stall bookkeeping, no fast-forward event scan.  The loop jumps
   // straight to next_issue_cycle() instead of polling intermediate cycles.
-  // This visits exactly the reference loop's Step call sites that mutate
-  // state: the reference polls once right after the previous issue (where
-  // Step either issues, or accrues stall_raw and publishes the true
-  // next_issue_cycle) and then fast-forwards to that same cycle; the polls
-  // it makes in between hit Step's next_issue early-out, which touches
-  // nothing.  Cycle counts and statistics are therefore bit-identical
-  // (tests/sim_golden_test.cpp).
+  // This makes exactly the reference loop's Step calls: the reference
+  // steps once right after the previous issue (where Step either issues,
+  // or accrues stall_raw and publishes the true next_issue_cycle) and then
+  // fast-forwards to that same cycle; in between it finds the issue stage
+  // busy and steps nothing.  Cycle counts and statistics are therefore
+  // bit-identical (tests/sim_golden_test.cpp).
   //
   // The jump is clamped at max_cycles, so a run that cannot issue before
   // the limit stops exactly there, as the reference loop's fast-forward
@@ -439,9 +428,8 @@ RunResult Machine::RunFastSingle(bool traced) {
   // on a state this loop could itself have been in at this boundary
   // (sim/threaded.cpp), so any mix of traced and interpreted execution is
   // bit-identical to the untraced loop.
-  const DecodedProgram& dp = *decoded_;
   if (traced && !threaded_) {
-    threaded_ = std::make_unique<ThreadedCache>(dp, &threaded_stats_);
+    threaded_ = std::make_unique<ThreadedCache>(decoded_, &threaded_stats_);
   }
   ThreadedCache* const tc = traced ? threaded_.get() : nullptr;
   Core& core = cores_.front();
@@ -484,7 +472,7 @@ RunResult Machine::RunFastSingle(bool traced) {
       StopAtCycleLimit();
     }
     const std::int64_t pc_before = core.pc();
-    if (core.StepFast(now_, dp, memory_, queues_) == StepOutcome::kIssued) {
+    if (core.Step(now_, decoded_, memory_, queues_) == StepOutcome::kIssued) {
       if (core.halted()) {
         if (!core0_halt_recorded_) {
           core0_halt_recorded_ = true;
@@ -553,7 +541,7 @@ void Machine::TelemetryCloseStalls() {
 }
 
 void Machine::TelemetryIssue(std::size_t core_index, std::int64_t pc) {
-  const isa::Instruction& inst = program_.at(pc);
+  const DecodedInstruction& inst = decoded_.at(pc);
   telemetry::SimEvent event;
   event.kind = telemetry::SimEventKind::kIssue;
   event.cycle = now_;
@@ -561,13 +549,13 @@ void Machine::TelemetryIssue(std::size_t core_index, std::int64_t pc) {
   event.pc = pc;
   event.name = isa::OpcodeName(inst.op);
   telemetry_->OnSim(event);
-  if (!isa::IsQueueOp(inst.op)) {
+  if (!inst.is_enqueue && !inst.is_dequeue) {
     return;
   }
   // A queue op also moves a value through a directional channel: report
   // the channel and its occupancy after the op (the enqueued value counts
   // even while still in flight).
-  const bool enq = isa::IsEnqueue(inst.op);
+  const bool enq = inst.is_enqueue;
   const int self = static_cast<int>(core_index);
   const int remote = inst.queue;
   telemetry::SimEvent queue_event;
@@ -577,7 +565,7 @@ void Machine::TelemetryIssue(std::size_t core_index, std::int64_t pc) {
   queue_event.core = self;
   queue_event.queue_src = enq ? self : remote;
   queue_event.queue_dst = enq ? remote : self;
-  queue_event.queue_is_fp = isa::IsFpQueueOp(inst.op);
+  queue_event.queue_is_fp = inst.is_fp_queue;
   const HardwareQueue& queue =
       queue_event.queue_is_fp
           ? queues_.FpQueue(queue_event.queue_src, queue_event.queue_dst)

@@ -106,10 +106,11 @@ class Machine {
   /// deadlock, CycleBudgetError at MachineConfig::max_cycles, and Error on
   /// a machine check or the no_progress_limit.
   ///
-  /// Three run tiers exist behind this call (docs/INTERNALS.md §12).  The
-  /// *fast tier* steps against the predecoded instruction cache (built
-  /// lazily, once per Machine) and skips cores that provably cannot issue
-  /// this cycle.  The *auto tier* (the default when no telemetry sink is
+  /// Three run tiers exist behind this call (docs/INTERNALS.md §12).  All
+  /// of them issue through Core::Step against the DecodedProgram the
+  /// constructor built.  The *fast tier* skips cores that provably cannot
+  /// issue this cycle and jumps over cycles in which none can.  The *auto
+  /// tier* (the default when no telemetry sink is
   /// installed) is the fast tier plus, on a single-core machine, the
   /// direct-threaded block translator (sim/threaded.hpp), which compiles
   /// hot basic blocks into computed-goto traces.  The *slow tier* is the
@@ -173,9 +174,9 @@ class Machine {
   /// the DeadlockError both run loops throw.
   StallReport BuildStallReport() const;
 
-  /// Fast run loop for multi-core machines: predecoded dispatch,
-  /// issue-skip for blocked cores, no instrumentation hooks.  Bit-identical
-  /// timing/state to RunSlow.
+  /// Fast run loop for multi-core machines: issue-skip for blocked cores,
+  /// event jumps, no instrumentation hooks.  Bit-identical timing/state to
+  /// RunSlow.
   RunResult RunFast();
   /// Single-core fast loop: no SMT arbitration, no queue stalls (a 1-core
   /// machine has no queues), so the loop is just issue /
@@ -185,9 +186,16 @@ class Machine {
   /// cross-core trace execution unsound for bit-identity.  Bit-identical
   /// to RunSlow either way.
   RunResult RunFastSingle(bool traced);
-  /// Reference run loop: polls every core every cycle; carries the
-  /// telemetry sink.
+  /// Reference run loop: steps every running core whose issue stage is
+  /// free, every cycle, and advances one cycle at a time while a value is
+  /// in flight; carries the telemetry sink.
   RunResult RunSlow();
+  /// Charges each core that ended cycle now_ queue-stalled for the cycles
+  /// strictly between now_ and `next_event`, on which no core is evaluated:
+  /// now_ was charged by the core's own evaluation, and next_event is
+  /// charged by the next one if the core is still blocked.  Shared by
+  /// RunSlow and RunFast, so each blocked cycle is charged once.
+  void ChargeSkippedStalls(std::uint64_t next_event);
   /// Telemetry stall-interval tracking (no-ops unless a sink is
   /// installed): records per-core open stalls and emits
   /// kStallBegin/kStallEnd transitions.
@@ -211,6 +219,8 @@ class Machine {
 
   MachineConfig config_;
   isa::Program program_;
+  /// program_ decoded against config_.timing; every run loop issues from it.
+  DecodedProgram decoded_;
   MemorySystem memory_;
   QueueMatrix queues_;
   std::vector<Core> cores_;
@@ -227,8 +237,6 @@ class Machine {
   telemetry::TelemetrySink* telemetry_ = nullptr;
   std::vector<telemetry::StallCause> open_stall_cause_;
   std::vector<std::uint64_t> open_stall_begin_;
-  /// Predecoded instruction cache; built on the first fast-path Run.
-  std::unique_ptr<DecodedProgram> decoded_;
   /// Trace cache; built on the first auto-tier Run of a single-core
   /// machine.  Derived state, never serialized.
   std::unique_ptr<ThreadedCache> threaded_;

@@ -9,9 +9,9 @@
 // configuration.  Snapshots are write-only: repro bundles compare their
 // bytes, and nothing loads them back into a machine.
 //
-// The decoded instruction cache and the trace cache are deliberately
-// absent: they are host-side caches, and the slow tier, which builds
-// neither, reaches the same state.
+// The decoded program and the trace cache are deliberately absent: both
+// are derived from the program and config, and the slow tier, which
+// builds no traces, reaches the same state.
 #include "sim/machine.hpp"
 #include "support/serial.hpp"
 

@@ -5,7 +5,7 @@
 // address (GNU computed goto, which GCC and Clang support), so dispatch is
 // a single indirect branch per simulated instruction.
 //
-// Per-op timing replicates Core::StepFast exactly, folded into locals:
+// Per-op timing replicates Core::Step exactly, folded into locals:
 //
 //   t = max(now, next_issue)                  // issue-stage fast-forward
 //   ready = max(scoreboard[sources])          // RAW wait
@@ -132,7 +132,7 @@ TraceRun ThreadedExec::Run(Core& core, ThreadedTrace& trace, std::uint64_t& now,
 
   FGPAR_T_DISPATCH();
 
-  // ---- integer ALU (wrap semantics via uint64, like Core::ExecuteImpl) ----
+  // ---- integer ALU (wrap semantics via uint64, like Core::Execute) ----
 t_AddI:
   FGPAR_T_ISSUE(FGPAR_T_RG2);
   FGPAR_T_SET_G(static_cast<std::int64_t>(static_cast<std::uint64_t>(gpr[op->src1]) +

@@ -1,6 +1,11 @@
-// Unit tests for single-core execution: functional semantics and the
-// scoreboard timing model.
+// Unit tests for single-core execution: functional semantics, the
+// scoreboard timing model, and the decoder's source-register table.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "isa/assembler.hpp"
 #include "sim/machine.hpp"
@@ -279,6 +284,74 @@ TEST(CoreTiming, StatsCountInstructionCategories) {
   EXPECT_EQ(m.core(0).stats().instructions, 4u);
   EXPECT_EQ(m.core(0).stats().loads, 1u);
   EXPECT_EQ(m.core(0).stats().stores, 1u);
+}
+
+TEST(CoreTiming, DecodedSourcesMatchOpcodeTable) {
+  // Every opcode decoded with dst = 1, src1 = 2, src2 = 3.  The expected
+  // registers each one waits on before it issues are written from the
+  // operand comments in isa/opcode.hpp: stores read their value register
+  // (dst) and fmaf reads its accumulator (dst).
+  using isa::Opcode;
+  struct Sources {
+    std::vector<int> gpr;
+    std::vector<int> fpr;
+  };
+  const std::map<Opcode, Sources> expected = {
+      {Opcode::kAddI, {{2, 3}, {}}},  {Opcode::kSubI, {{2, 3}, {}}},
+      {Opcode::kMulI, {{2, 3}, {}}},  {Opcode::kDivI, {{2, 3}, {}}},
+      {Opcode::kRemI, {{2, 3}, {}}},  {Opcode::kAndI, {{2, 3}, {}}},
+      {Opcode::kOrI, {{2, 3}, {}}},   {Opcode::kXorI, {{2, 3}, {}}},
+      {Opcode::kShlI, {{2, 3}, {}}},  {Opcode::kShrI, {{2, 3}, {}}},
+      {Opcode::kMinI, {{2, 3}, {}}},  {Opcode::kMaxI, {{2, 3}, {}}},
+      {Opcode::kLiI, {{}, {}}},       {Opcode::kMovI, {{2}, {}}},
+      {Opcode::kCeqI, {{2, 3}, {}}},  {Opcode::kCneI, {{2, 3}, {}}},
+      {Opcode::kCltI, {{2, 3}, {}}},  {Opcode::kCleI, {{2, 3}, {}}},
+      {Opcode::kAddF, {{}, {2, 3}}},  {Opcode::kSubF, {{}, {2, 3}}},
+      {Opcode::kMulF, {{}, {2, 3}}},  {Opcode::kDivF, {{}, {2, 3}}},
+      {Opcode::kNegF, {{}, {2}}},     {Opcode::kAbsF, {{}, {2}}},
+      {Opcode::kSqrtF, {{}, {2}}},    {Opcode::kMinF, {{}, {2, 3}}},
+      {Opcode::kMaxF, {{}, {2, 3}}},  {Opcode::kFmaF, {{}, {1, 2, 3}}},
+      {Opcode::kLiF, {{}, {}}},       {Opcode::kMovF, {{}, {2}}},
+      {Opcode::kItoF, {{2}, {}}},     {Opcode::kFtoI, {{}, {2}}},
+      {Opcode::kCeqF, {{}, {2, 3}}},  {Opcode::kCltF, {{}, {2, 3}}},
+      {Opcode::kCleF, {{}, {2, 3}}},  {Opcode::kLdI, {{2}, {}}},
+      {Opcode::kLdIX, {{2, 3}, {}}},  {Opcode::kStI, {{1, 2}, {}}},
+      {Opcode::kStIX, {{1, 2, 3}, {}}}, {Opcode::kLdF, {{2}, {}}},
+      {Opcode::kLdFX, {{2, 3}, {}}},  {Opcode::kStF, {{2}, {1}}},
+      {Opcode::kStFX, {{2, 3}, {1}}}, {Opcode::kJmp, {{}, {}}},
+      {Opcode::kBz, {{2}, {}}},       {Opcode::kBnz, {{2}, {}}},
+      {Opcode::kCall, {{}, {}}},      {Opcode::kCallR, {{2}, {}}},
+      {Opcode::kRet, {{}, {}}},       {Opcode::kHalt, {{}, {}}},
+      {Opcode::kNop, {{}, {}}},       {Opcode::kEnqI, {{2}, {}}},
+      {Opcode::kDeqI, {{}, {}}},      {Opcode::kEnqF, {{}, {2}}},
+      {Opcode::kDeqF, {{}, {}}},
+  };
+
+  std::vector<isa::Instruction> code;
+  for (int op = 0; op < isa::kNumOpcodes; ++op) {
+    isa::Instruction instr;
+    instr.op = static_cast<Opcode>(op);
+    instr.dst = 1;
+    instr.src1 = 2;
+    instr.src2 = 3;
+    code.push_back(instr);
+  }
+  const DecodedProgram decoded(isa::Program(code, {}, {}), CoreTiming{});
+
+  auto sorted = [](const std::uint8_t* regs, int count) {
+    std::vector<int> out(regs, regs + count);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  for (int op = 0; op < isa::kNumOpcodes; ++op) {
+    const Opcode opcode = static_cast<Opcode>(op);
+    SCOPED_TRACE(std::string(isa::OpcodeName(opcode)));
+    const auto row = expected.find(opcode);
+    ASSERT_NE(row, expected.end()) << "opcode has no row in the table";
+    const DecodedInstruction& di = decoded.at(op);
+    EXPECT_EQ(sorted(di.gpr_srcs, di.num_gpr_srcs), row->second.gpr);
+    EXPECT_EQ(sorted(di.fpr_srcs, di.num_fpr_srcs), row->second.fpr);
+  }
 }
 
 }  // namespace

@@ -15,6 +15,9 @@ using isa::Assembler;
 using isa::Fpr;
 using isa::Gpr;
 
+constexpr RunTier kAllTiers[] = {RunTier::kSlow, RunTier::kFast,
+                                 RunTier::kAuto};
+
 MachineConfig TwoCores() {
   MachineConfig config;
   config.num_cores = 2;
@@ -65,9 +68,6 @@ TEST(Machine, FloatQueueCarriesExactBits) {
 TEST(Machine, EarlyDequeueStallsUntilArrival) {
   // Figure 11: the receiver issues its dequeue before the sender's enqueue;
   // it must stall until enqueue-time + transfer latency.
-  MachineConfig config = TwoCores();
-  config.queue.transfer_latency = 50;
-
   Assembler a;
   isa::Label sender = a.NewNamedLabel("sender");
   isa::Label receiver = a.NewNamedLabel("receiver");
@@ -78,15 +78,24 @@ TEST(Machine, EarlyDequeueStallsUntilArrival) {
   a.Bind(receiver);
   a.DeqI(0, Gpr{2});
   a.Halt();
+  const isa::Program program = a.Finish();
 
-  Machine m(config, a.Finish());
-  m.StartCoreAt(0, "sender");
-  m.StartCoreAt(1, "receiver");
-  RunResult r = m.Run();
-  // Sender enqueues at cycle 1; receiver cannot complete before cycle 51.
-  EXPECT_GE(r.cycles, 51u);
-  EXPECT_GT(m.core(1).stats().stall_queue_empty, 40u);
-  EXPECT_EQ(m.core(1).gpr(2), 7);
+  for (RunTier tier : kAllTiers) {
+    SCOPED_TRACE(testing::Message() << "tier " << static_cast<int>(tier));
+    MachineConfig config = TwoCores();
+    config.queue.transfer_latency = 50;
+    config.force_tier = tier;
+    Machine m(config, program);
+    m.StartCoreAt(0, "sender");
+    m.StartCoreAt(1, "receiver");
+    RunResult r = m.Run();
+    // Sender enqueues at cycle 1; the value arrives at cycle 51, so the
+    // receiver is blocked on cycles 0..50, each charged once, and halts
+    // at cycle 52.
+    EXPECT_EQ(r.cycles, 53u);
+    EXPECT_EQ(m.core(1).stats().stall_queue_empty, 51u);
+    EXPECT_EQ(m.core(1).gpr(2), 7);
+  }
 }
 
 TEST(Machine, LateDequeueDoesNotStall) {
@@ -144,13 +153,23 @@ TEST(Machine, EnqueueBlocksWhenQueueFull) {
   }
   a.Halt();
 
-  Machine m(config, a.Finish());
-  m.StartCoreAt(0, "sender");
-  m.StartCoreAt(1, "receiver");
-  m.Run();
-  EXPECT_GT(m.core(0).stats().stall_queue_full, 0u);
-  EXPECT_EQ(m.core(0).stats().enqueues, 6u);
-  EXPECT_EQ(m.core(1).stats().dequeues, 6u);
+  const isa::Program program = a.Finish();
+
+  for (RunTier tier : kAllTiers) {
+    SCOPED_TRACE(testing::Message() << "tier " << static_cast<int>(tier));
+    config.force_tier = tier;
+    Machine m(config, program);
+    m.StartCoreAt(0, "sender");
+    m.StartCoreAt(1, "receiver");
+    m.Run();
+    // Each blocked cycle is charged once: the sender waits on a full queue
+    // until the receiver's delay loop ends, and the receiver then waits for
+    // the values the sender could only enqueue once slots freed up.
+    EXPECT_EQ(m.core(0).stats().stall_queue_full, 104u);
+    EXPECT_EQ(m.core(1).stats().stall_queue_empty, 8u);
+    EXPECT_EQ(m.core(0).stats().enqueues, 6u);
+    EXPECT_EQ(m.core(1).stats().dequeues, 6u);
+  }
 }
 
 TEST(Machine, PingPongRoundTrip) {
