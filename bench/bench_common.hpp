@@ -11,6 +11,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <string>
 #include <string_view>
@@ -18,6 +19,7 @@
 #include "harness/bench_artifact.hpp"
 #include "harness/sweep.hpp"
 #include "kernels/experiments.hpp"
+#include "support/error.hpp"
 
 namespace fgpar::benchutil {
 
@@ -87,11 +89,17 @@ inline harness::BenchArtifact::Point MakePoint(
   return point;
 }
 
-/// Writes the artifact and reports the path on stderr.
+/// Writes the artifact and reports its path on stderr; on failure prints
+/// the error and exits 1.
 inline void EmitArtifact(const harness::BenchArtifact& artifact) {
-  const std::string path = artifact.WriteFile();
-  std::fprintf(stderr, "wrote %s (%zu points)\n", path.c_str(),
-               artifact.points.size());
+  try {
+    const std::string path = artifact.WriteFile();
+    std::fprintf(stderr, "wrote %s (%zu points)\n", path.c_str(),
+                 artifact.points.size());
+  } catch (const Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    std::exit(1);
+  }
 }
 
 }  // namespace fgpar::benchutil

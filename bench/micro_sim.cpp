@@ -34,6 +34,7 @@
 #include "harness/bench_artifact.hpp"
 #include "isa/assembler.hpp"
 #include "sim/machine.hpp"
+#include "support/error.hpp"
 #include "support/telemetry/sinks.hpp"
 
 namespace {
@@ -346,6 +347,11 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  WriteThroughputArtifact();
+  try {
+    WriteThroughputArtifact();
+  } catch (const fgpar::Error& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
   return 0;
 }

@@ -1,6 +1,7 @@
 #include "harness/bench_artifact.hpp"
 
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 
 #include "harness/runner.hpp"
@@ -121,12 +122,22 @@ std::string BenchArtifact::WriteFile() const {
       include_host = false;
     }
   }
+  std::error_code error;
+  std::filesystem::create_directories(dir, error);
+  if (error) {
+    throw Error("cannot create bench directory " + dir + ": " +
+                error.message());
+  }
   const std::string path = dir + "/BENCH_" + name + ".json";
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  FGPAR_CHECK_MSG(out.good(), "cannot open " + path + " for writing");
+  if (!out.good()) {
+    throw Error("cannot open " + path + " for writing");
+  }
   out << ToJson(include_host);
   out.close();
-  FGPAR_CHECK_MSG(out.good(), "failed writing " + path);
+  if (!out.good()) {
+    throw Error("failed writing " + path);
+  }
   return path;
 }
 

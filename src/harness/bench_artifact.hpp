@@ -76,7 +76,9 @@ struct BenchArtifact {
   std::string ToJson(bool include_host = true) const;
 
   /// Writes BENCH_<name>.json into $FGPAR_BENCH_DIR (default: the current
-  /// directory) and returns the path written.
+  /// directory), creating the directory if it is missing, and returns the
+  /// path written.  Throws fgpar::Error naming the path when the directory
+  /// cannot be created or the file cannot be written.
   std::string WriteFile() const;
 };
 

@@ -1,16 +1,55 @@
 #include "harness/runner.hpp"
 
 #include <algorithm>
+#include <map>
+#include <mutex>
+#include <optional>
 #include <sstream>
+#include <utility>
 
 #include "ir/validate.hpp"
 #include "native/codegen.hpp"
 #include "native/executor.hpp"
 #include "support/error.hpp"
+#include "support/serial.hpp"
 
 namespace fgpar::harness {
 
 namespace {
+
+/// Which measured run of a KernelRun: the machine starts different
+/// entry points for each.
+enum class RunKind : std::uint8_t { kSequential, kParallel };
+
+/// The numbers Run reads from one finished, verified measured machine.
+struct MeasuredRun {
+  std::uint64_t core0_halt_cycle = 0;
+  std::uint64_t instructions = 0;
+  std::uint64_t queue_transfers = 0;
+  int queues_used = 0;
+  int max_queue_occupancy = 0;
+  sim::ThreadedStats threaded_stats;
+};
+
+/// The run-memo key: the machine identity bytes (program and
+/// MachineConfig) plus everything else a measured run's numbers depend on
+/// — the run tier (the threaded stats differ by tier), the entry points,
+/// the workload seed (the loaded image and the golden memory) and whether
+/// the run was verified.
+std::string RunKey(const isa::Program& program,
+                   const sim::MachineConfig& machine, RunKind kind,
+                   const RunConfig& config) {
+  ByteWriter w;
+  w.U8(static_cast<std::uint8_t>(machine.force_tier));
+  w.U8(static_cast<std::uint8_t>(kind));
+  w.U64(config.seed);
+  w.Bool(config.verify);
+  const std::vector<std::uint8_t> identity =
+      sim::Machine::IdentityBytes(program, machine);
+  std::string key(identity.begin(), identity.end());
+  key.append(w.bytes().begin(), w.bytes().end());
+  return key;
+}
 
 /// Byte-compares a native run's output memory against the golden image
 /// (the native analogue of KernelRunner::CompareMemory, which reads a sim
@@ -31,15 +70,42 @@ void CompareNativeMemory(const std::vector<std::uint64_t>& actual,
 
 }  // namespace
 
+/// What one workload seed determines.  Entries are built under the memo's
+/// mutex, never change once built and are never erased, so references to
+/// them stay valid, unlocked, for the runner's life.
+struct KernelRunner::Workload {
+  explicit Workload(Prepared prepared) : prepared(std::move(prepared)) {}
+
+  Prepared prepared;
+  /// Interpreted on the first Run.
+  std::optional<std::vector<std::uint64_t>> golden;
+  /// The original kernel's profile, per cache.
+  std::map<sim::CacheConfig, analysis::ProfileData> profiles;
+  /// Per (cache, collect_profile).
+  std::map<std::pair<sim::CacheConfig, bool>, model::WorkloadPredictor>
+      predictors;
+};
+
+struct KernelRunner::Memo {
+  std::mutex mutex;  // guards both maps and every Workload in them
+  std::map<std::uint64_t, Workload> workloads;  // by RunConfig::seed
+  std::map<std::string, MeasuredRun> runs;  // by RunKey
+};
+
 KernelRunner::KernelRunner(const ir::Kernel& kernel, WorkloadInit init)
-    : kernel_(kernel), layout_(kernel_, /*base=*/64), init_(std::move(init)) {
+    : kernel_(kernel),
+      layout_(kernel_, /*base=*/64),
+      init_(std::move(init)),
+      memo_(std::make_unique<Memo>()) {
   ir::CheckValid(kernel_);
 }
 
-KernelRunner::Prepared KernelRunner::Prepare(const RunConfig& config) const {
+KernelRunner::~KernelRunner() = default;
+
+KernelRunner::Prepared KernelRunner::Prepare(std::uint64_t seed) const {
   Prepared prepared{ir::ParamEnv(kernel_),
                     std::vector<std::uint64_t>(layout_.end(), 0)};
-  init_(config.seed, kernel_, layout_, prepared.params, prepared.image);
+  init_(seed, kernel_, layout_, prepared.params, prepared.image);
   prepared.params.CheckComplete(kernel_);
   // Publish parameter values into the layout's parameter block so compiled
   // code can load them at startup.
@@ -56,6 +122,27 @@ std::vector<std::uint64_t> KernelRunner::GoldenMemory(const Prepared& prepared) 
   ir::Interpreter interp(kernel_, layout_, prepared.params, memory);
   interp.Run();
   return memory;
+}
+
+KernelRunner::Workload& KernelRunner::WorkloadFor(std::uint64_t seed) const {
+  auto it = memo_->workloads.find(seed);
+  if (it == memo_->workloads.end()) {
+    it = memo_->workloads.try_emplace(seed, Prepare(seed)).first;
+  }
+  return it->second;
+}
+
+const analysis::ProfileData& KernelRunner::ProfileFor(
+    Workload& workload, const sim::CacheConfig& cache) const {
+  auto it = workload.profiles.find(cache);
+  if (it == workload.profiles.end()) {
+    it = workload.profiles
+             .try_emplace(cache, analysis::ProfileData::Collect(
+                                     kernel_, layout_, workload.prepared.params,
+                                     workload.prepared.image, cache))
+             .first;
+  }
+  return it->second;
 }
 
 sim::MachineConfig KernelRunner::MachineConfigFor(const RunConfig& config,
@@ -117,30 +204,35 @@ void KernelRunner::CompareMemory(const sim::Machine& machine,
 }
 
 model::Prediction KernelRunner::Predict(const RunConfig& config) const {
-  const Prepared prepared = Prepare(config);
-  compiler::CompileOptions options = config.compile;
-  // Mirror Run: the compile must assume the queues it will execute on.
-  options.assumed_queue_capacity = config.queue.capacity;
-  analysis::ProfileData profile;
-  if (config.collect_profile) {
-    profile = analysis::ProfileData::Collect(kernel_, layout_, prepared.params,
-                                             prepared.image, config.cache);
-  }
-  return model::PredictKernelOnWorkload(
-      kernel_, options, config.collect_profile ? &profile : nullptr, layout_,
-      prepared.params, prepared.image, config.cache);
+  const std::lock_guard<std::mutex> lock(memo_->mutex);
+  Workload& workload = WorkloadFor(config.seed);
+  const analysis::ProfileData* profile =
+      config.collect_profile ? &ProfileFor(workload, config.cache) : nullptr;
+  model::WorkloadPredictor& predictor =
+      workload.predictors
+          .try_emplace(std::pair(config.cache, config.collect_profile),
+                       kernel_, profile, layout_, workload.prepared.params,
+                       workload.prepared.image, config.cache)
+          .first->second;
+  return predictor.Predict(config.compile);
 }
 
 KernelRun KernelRunner::Run(const RunConfig& config) const {
-  const Prepared prepared = Prepare(config);
-  const std::vector<std::uint64_t> golden = GoldenMemory(prepared);
-
-  // ---- profile feedback (Section III-I.3) ----
-  analysis::ProfileData profile;
-  if (config.collect_profile) {
-    profile = analysis::ProfileData::Collect(kernel_, layout_, prepared.params,
-                                             prepared.image, config.cache);
+  const Workload* workload = nullptr;
+  const analysis::ProfileData* profile = nullptr;  // profile feedback (III-I.3)
+  {
+    const std::lock_guard<std::mutex> lock(memo_->mutex);
+    Workload& entry = WorkloadFor(config.seed);
+    if (!entry.golden.has_value()) {
+      entry.golden = GoldenMemory(entry.prepared);
+    }
+    if (config.collect_profile) {
+      profile = &ProfileFor(entry, config.cache);
+    }
+    workload = &entry;
   }
+  const Prepared& prepared = workload->prepared;
+  const std::vector<std::uint64_t>& golden = *workload->golden;
 
   KernelRun run;
   run.kernel_name = kernel_.name();
@@ -152,42 +244,76 @@ KernelRun KernelRunner::Run(const RunConfig& config) const {
 
   // One measured run: to completion under the cycle budget, then verified
   // when asked.  Any throw reaches config.on_failure once, with the machine
-  // intact, and then propagates.
-  const auto measure = [&](sim::Machine& machine, const char* what,
-                           const std::string& verify_what) {
+  // intact, and then propagates.  A run that completed is memoized, and an
+  // identical later run returns its numbers without simulating — unless a
+  // telemetry sink must see the run's events.
+  const auto measure = [&](RunKind kind, const isa::Program& program,
+                           int cores, const std::string& verify_what) {
+    const sim::MachineConfig machine_config = MachineConfigFor(config, cores);
+    const bool memoize = config.telemetry == nullptr;
+    std::string key;
+    if (memoize) {
+      key = RunKey(program, machine_config, kind, config);
+      const std::lock_guard<std::mutex> lock(memo_->mutex);
+      const auto it = memo_->runs.find(key);
+      if (it != memo_->runs.end()) {
+        return it->second;
+      }
+    }
+    sim::Machine machine(machine_config, program);
+    LoadImage(machine, prepared.image);
+    if (kind == RunKind::kSequential) {
+      machine.StartCoreAt(0, "main");
+    } else {
+      machine.StartCoreAt(0, compiler::CompiledParallel::kPrimaryEntry);
+      for (int c = 1; c < cores; ++c) {
+        machine.StartCoreAt(c, compiler::CompiledParallel::kDriverEntry);
+      }
+      machine.SetTelemetry(config.telemetry);
+    }
+    MeasuredRun measured;
     try {
       sim::RunResult result;
       try {
         result = machine.Run();
       } catch (const sim::CycleBudgetError& e) {
         // Name the kernel and the run that reached the limit.
-        throw sim::CycleBudgetError("kernel '" + kernel_.name() + "': " +
-                                    what + ": " + e.what());
+        throw sim::CycleBudgetError(
+            "kernel '" + kernel_.name() + "': " +
+            (kind == RunKind::kSequential ? "sequential" : "parallel") +
+            " execution: " + e.what());
       }
       if (config.verify) {
         CompareMemory(machine, golden, verify_what);
       }
-      return result;
+      measured = {result.core0_halt_cycle, result.instructions,
+                  machine.queues().TotalTransfers(),
+                  machine.queues().UsedChannelCount(),
+                  machine.queues().MaxOccupancy(), machine.threaded_stats()};
     } catch (const Error& e) {
       if (config.on_failure) {
         config.on_failure(machine, e);
       }
       throw;
     }
+    if (memoize) {
+      // Two threads that missed the same key measured the same numbers;
+      // the first insert wins.
+      const std::lock_guard<std::mutex> lock(memo_->mutex);
+      memo_->runs.try_emplace(std::move(key), measured);
+    }
+    return measured;
   };
 
   // ---- sequential baseline ----
   {
-    const isa::Program program =
-        compiler::CompileSequential(kernel_, layout_, compile_options);
-    sim::Machine machine(MachineConfigFor(config, 1), program);
-    LoadImage(machine, prepared.image);
-    machine.StartCoreAt(0, "main");
-    const sim::RunResult result =
-        measure(machine, "sequential execution", "sequential codegen");
-    run.seq_cycles = result.core0_halt_cycle;
-    run.seq_instructions = result.instructions;
-    run.threaded_stats += machine.threaded_stats();
+    const MeasuredRun measured =
+        measure(RunKind::kSequential,
+                compiler::CompileSequential(kernel_, layout_, compile_options),
+                1, "sequential codegen");
+    run.seq_cycles = measured.core0_halt_cycle;
+    run.seq_instructions = measured.instructions;
+    run.threaded_stats += measured.threaded_stats;
   }
 
   // ---- fine-grained parallel ----
@@ -215,8 +341,7 @@ KernelRun KernelRunner::Run(const RunConfig& config) const {
     compiler::PipelineInstrumentation compile_instrumentation;
     compile_instrumentation.telemetry = config.telemetry;
     const compiler::CompiledParallel compiled = compiler::CompileParallel(
-        kernel_, layout_, compile_options,
-        config.collect_profile ? &profile : nullptr,
+        kernel_, layout_, compile_options, profile,
         config.tune_by_simulation ? &evaluator : nullptr,
         config.telemetry != nullptr ? &compile_instrumentation : nullptr,
         config.cost_model);
@@ -231,24 +356,16 @@ KernelRun KernelRunner::Run(const RunConfig& config) const {
 
     // ---- measured parallel run ----
     {
-      sim::Machine machine(MachineConfigFor(config, compiled.cores_used),
-                           compiled.program);
-      LoadImage(machine, prepared.image);
-      machine.StartCoreAt(0, compiler::CompiledParallel::kPrimaryEntry);
-      for (int c = 1; c < compiled.cores_used; ++c) {
-        machine.StartCoreAt(c, compiler::CompiledParallel::kDriverEntry);
-      }
-      machine.SetTelemetry(config.telemetry);
-      const sim::RunResult result =
-          measure(machine, "parallel execution",
-                  "parallel codegen (" + std::to_string(compiled.cores_used) +
-                      " cores)");
-      run.par_cycles = result.core0_halt_cycle;
-      run.par_instructions = result.instructions;
-      run.par_queue_transfers = machine.queues().TotalTransfers();
-      run.queues_used = machine.queues().UsedChannelCount();
-      run.max_queue_occupancy = machine.queues().MaxOccupancy();
-      run.threaded_stats += machine.threaded_stats();
+      const MeasuredRun measured = measure(
+          RunKind::kParallel, compiled.program, compiled.cores_used,
+          "parallel codegen (" + std::to_string(compiled.cores_used) +
+              " cores)");
+      run.par_cycles = measured.core0_halt_cycle;
+      run.par_instructions = measured.instructions;
+      run.par_queue_transfers = measured.queue_transfers;
+      run.queues_used = measured.queues_used;
+      run.max_queue_occupancy = measured.max_queue_occupancy;
+      run.threaded_stats += measured.threaded_stats;
     }
 
     // ---- native-backend execution (real host threads + SPSC rings) ----

@@ -14,10 +14,21 @@
 // failed machine).  Workload initialization derives from the single
 // RunConfig::seed and multi-version tuning is deterministic, so any run —
 // including a failing one — is bit-reproducible from one integer.
+//
+// A runner memoizes what depends only on the seed and on the options each
+// step reads (docs/INTERNALS.md §14), for as long as it lives: the
+// prepared workload, golden memory, original-kernel profiles and a
+// model::WorkloadPredictor per seed, and each measured run that completed
+// (and verified, when asked) per its program, MachineConfig, run tier,
+// entry points, seed and verify flag.  Memoized answers are bit-identical
+// to recomputed ones; a failing run is never stored, and a run with a
+// telemetry sink always simulates.  Run and Predict may be called from
+// several threads; one mutex guards the memo.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -173,6 +184,11 @@ telemetry::CounterRegistry KernelRunTelemetry(const KernelRun& run);
 class KernelRunner {
  public:
   KernelRunner(const ir::Kernel& kernel, WorkloadInit init);
+  ~KernelRunner();
+  /// The memo points into kernel_ and layout_, so a runner stays where it
+  /// was built: no copies, no moves.
+  KernelRunner(const KernelRunner&) = delete;
+  KernelRunner& operator=(const KernelRunner&) = delete;
 
   /// Runs the full pipeline for `config`.  Throws on compile errors and on
   /// any failure of the measured runs (deadlock, verify mismatch, cycle
@@ -195,8 +211,17 @@ class KernelRunner {
     ir::ParamEnv params;
     std::vector<std::uint64_t> image;  // initial memory incl. param block
   };
-  Prepared Prepare(const RunConfig& config) const;
+  struct Workload;
+  struct Memo;
+  Prepared Prepare(std::uint64_t seed) const;
   std::vector<std::uint64_t> GoldenMemory(const Prepared& prepared) const;
+  /// The memoized workload of `seed`, prepared on first use.  The caller
+  /// holds the memo's mutex.
+  Workload& WorkloadFor(std::uint64_t seed) const;
+  /// The original kernel's profile of `workload` under `cache`, collected
+  /// on first use.  The caller holds the memo's mutex.
+  const analysis::ProfileData& ProfileFor(Workload& workload,
+                                          const sim::CacheConfig& cache) const;
   sim::MachineConfig MachineConfigFor(const RunConfig& config, int cores) const;
   void LoadImage(sim::Machine& machine, const std::vector<std::uint64_t>& image) const;
   void CompareMemory(const sim::Machine& machine,
@@ -206,6 +231,7 @@ class KernelRunner {
   ir::Kernel kernel_;
   ir::DataLayout layout_;
   WorkloadInit init_;
+  std::unique_ptr<Memo> memo_;
 };
 
 }  // namespace fgpar::harness

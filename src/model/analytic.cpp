@@ -19,6 +19,15 @@ std::string Fixed2(double value) {
   return buffer;
 }
 
+/// `kernel` after the rewrite front half (split, optional speculation,
+/// forwarding, fiberize).
+compiler::PartitionResult Rewritten(const ir::Kernel& kernel,
+                                    const compiler::CompileOptions& options) {
+  compiler::PartitionResult result(kernel);
+  compiler::ApplyRewritePasses(result, options);
+  return result;
+}
+
 }  // namespace
 
 AnalyticParams AnalyticParams::FromOptions(
@@ -125,55 +134,100 @@ Prediction PredictKernelOnWorkload(const ir::Kernel& kernel,
                                    const ir::ParamEnv& params,
                                    const std::vector<std::uint64_t>& image,
                                    const sim::CacheConfig& cache) {
-  // The candidate the compile will pick: same rewrite front half, same
-  // static merge, trained on the same profile the compiler trains on.
-  compiler::PartitionResult rewritten(kernel);
-  compiler::ApplyRewritePasses(rewritten, options);
-  const analysis::KernelIndex index(rewritten.kernel);
-  const sim::CoreTiming timing{};
-  const analysis::CostModel merge_cost(
-      timing, cache, options.use_profile ? merge_profile : nullptr);
-  const compiler::CodeGraph graph = compiler::BuildCodeGraph(index, merge_cost);
-  const std::vector<compiler::MergedPartition> chosen =
-      compiler::MergeGraph(graph, options);
+  return WorkloadPredictor(kernel, merge_profile, layout, params, image, cache)
+      .Predict(options);
+}
 
-  // Execution profile at per-statement granularity of the code that
-  // actually runs (the rewritten kernel: dead statements are gone on both
-  // sides — the sequential pipeline applies the same scalar rewrites).
-  const analysis::ProfileData par_profile = analysis::ProfileData::Collect(
-      rewritten.kernel, layout, params, image, cache);
-  const analysis::CostModel par_cost(timing, cache, &par_profile);
+/// The candidate a compile picks is merged from this graph: the same
+/// rewrite front half, trained on the same profile the compiler trains on.
+struct WorkloadPredictor::FrontHalf {
+  FrontHalf(const ir::Kernel& kernel, const compiler::CompileOptions& options,
+            const analysis::CostModel& merge_cost)
+      : rewritten(Rewritten(kernel, options)),
+        index(rewritten.kernel),
+        graph(compiler::BuildCodeGraph(index, merge_cost)) {}
 
-  // Re-cost the graph nodes at execution granularity — frequency-weighted,
-  // so rarely-taken conditional arms charge their taken fraction — before
-  // extracting the feature vector the steady-state bounds come from.
-  analysis::PartitionGraph view = BuildPartitionGraph(graph, chosen);
-  for (std::size_t n = 0; n < graph.nodes.size(); ++n) {
-    double occupancy = 0.0;
-    for (ir::StmtId id : graph.nodes[n].stmts) {
-      const ir::Stmt& stmt = *index.ByStmtId(id).stmt;
-      occupancy += par_profile.StmtFrequency(id) *
-                   par_cost.StmtOccupancy(rewritten.kernel, stmt);
-    }
-    view.node_cost[n] = occupancy;
+  compiler::PartitionResult rewritten;
+  const analysis::KernelIndex index;  // points into rewritten.kernel
+  const compiler::CodeGraph graph;
+  /// Each graph node's execution-granularity cost; built after the first
+  /// merge over this front half succeeds (NodeOccupancy).
+  std::optional<std::vector<double>> node_occupancy;
+};
+
+WorkloadPredictor::WorkloadPredictor(const ir::Kernel& kernel,
+                                     const analysis::ProfileData* merge_profile,
+                                     const ir::DataLayout& layout,
+                                     const ir::ParamEnv& params,
+                                     const std::vector<std::uint64_t>& image,
+                                     const sim::CacheConfig& cache)
+    : kernel_(kernel),
+      merge_profile_(merge_profile),
+      layout_(layout),
+      params_(params),
+      image_(image),
+      cache_(cache) {}
+
+WorkloadPredictor::~WorkloadPredictor() = default;
+
+WorkloadPredictor::FrontHalf& WorkloadPredictor::FrontHalfFor(
+    const FrontHalfKey& key, const compiler::CompileOptions& options) {
+  auto it = front_halves_.find(key);
+  if (it == front_halves_.end()) {
+    const analysis::CostModel merge_cost(
+        sim::CoreTiming{}, cache_,
+        options.use_profile ? merge_profile_ : nullptr);
+    it = front_halves_
+             .emplace(key, std::make_unique<FrontHalf>(kernel_, options,
+                                                        merge_cost))
+             .first;
   }
+  return *it->second;
+}
 
-  const AnalyticParams exec = AnalyticParams::ExecFromOptions(options);
-  const analysis::PartitionFeatures features =
-      analysis::ExtractPartitionFeatures(view, exec.transfer_latency,
-                                         exec.queue_op_cost);
-  Prediction prediction = PredictFromFeatures(features, exec);
+const std::vector<double>& WorkloadPredictor::NodeOccupancy(
+    FrontHalf& front) const {
+  if (!front.node_occupancy.has_value()) {
+    // Execution profile at per-statement granularity of the code that
+    // actually runs (the rewritten kernel: dead statements are gone on
+    // both sides — the sequential pipeline applies the same scalar
+    // rewrites).  Costs are frequency-weighted, so rarely-taken
+    // conditional arms charge their taken fraction.
+    const analysis::ProfileData profile = analysis::ProfileData::Collect(
+        front.rewritten.kernel, layout_, params_, image_, cache_);
+    const analysis::CostModel cost(sim::CoreTiming{}, cache_, &profile);
+    std::vector<double> occupancy;
+    occupancy.reserve(front.graph.nodes.size());
+    for (const compiler::GraphNode& node : front.graph.nodes) {
+      double total = 0.0;
+      for (ir::StmtId id : node.stmts) {
+        const ir::Stmt& stmt = *front.index.ByStmtId(id).stmt;
+        total += profile.StmtFrequency(id) *
+                 cost.StmtOccupancy(front.rewritten.kernel, stmt);
+      }
+      occupancy.push_back(total);
+    }
+    front.node_occupancy = std::move(occupancy);
+  }
+  return *front.node_occupancy;
+}
 
-  // Sequential baseline: the same live statements on one core, under a
-  // speculation-free rewrite (sequential code never executes both arms)
-  // with its own execution profile — one cache serving every access.
+double WorkloadPredictor::SequentialOccupancy(
+    const compiler::CompileOptions& options) {
+  const auto it = sequential_occupancy_.find(options.max_expr_depth);
+  if (it != sequential_occupancy_.end()) {
+    return it->second;
+  }
+  // The same live statements on one core, under a speculation-free
+  // rewrite (sequential code never executes both arms) with its own
+  // execution profile — one cache serving every access.
   compiler::CompileOptions seq_options = options;
   seq_options.speculation = false;
-  compiler::PartitionResult seq_rewritten(kernel);
-  compiler::ApplyRewritePasses(seq_rewritten, seq_options);
+  const compiler::PartitionResult seq_rewritten =
+      Rewritten(kernel_, seq_options);
   const analysis::ProfileData seq_profile = analysis::ProfileData::Collect(
-      seq_rewritten.kernel, layout, params, image, cache);
-  const analysis::CostModel seq_cost(timing, cache, &seq_profile);
+      seq_rewritten.kernel, layout_, params_, image_, cache_);
+  const analysis::CostModel seq_cost(sim::CoreTiming{}, cache_, &seq_profile);
   const std::function<double(const std::vector<ir::Stmt>&)> body_occupancy =
       [&](const std::vector<ir::Stmt>& body) {
         double total = 0.0;
@@ -187,12 +241,49 @@ Prediction PredictKernelOnWorkload(const ir::Kernel& kernel,
         }
         return total;
       };
+  const double occupancy = body_occupancy(seq_rewritten.kernel.loop().body);
+  sequential_occupancy_.emplace(options.max_expr_depth, occupancy);
+  return occupancy;
+}
+
+Prediction WorkloadPredictor::Predict(const compiler::CompileOptions& options) {
+  const FrontHalfKey front_key{options.max_expr_depth, options.speculation,
+                               options.use_profile};
+  const PredictionKey key{front_key,
+                          options.num_cores,
+                          options.multi_pair_merge,
+                          options.throughput_heuristic,
+                          options.max_channels,
+                          options.w_deps,
+                          options.w_cost,
+                          options.w_prox,
+                          options.cost_scale,
+                          options.line_scale,
+                          options.balance_cap,
+                          options.assumed_transfer_latency};
+  if (const auto it = predictions_.find(key); it != predictions_.end()) {
+    return it->second;
+  }
+  FrontHalf& front = FrontHalfFor(front_key, options);
+  const std::vector<compiler::MergedPartition> chosen =
+      compiler::MergeGraph(front.graph, options);
+
+  // Re-cost the chosen candidate's nodes at execution granularity before
+  // extracting the feature vector the steady-state bounds come from.
+  analysis::PartitionGraph view = BuildPartitionGraph(front.graph, chosen);
+  view.node_cost = NodeOccupancy(front);
+  const AnalyticParams exec = AnalyticParams::ExecFromOptions(options);
+  const analysis::PartitionFeatures features =
+      analysis::ExtractPartitionFeatures(view, exec.transfer_latency,
+                                         exec.queue_op_cost);
+  Prediction prediction = PredictFromFeatures(features, exec);
   prediction.sequential_cost =
-      body_occupancy(seq_rewritten.kernel.loop().body) + exec.loop_overhead;
+      SequentialOccupancy(options) + exec.loop_overhead;
   if (features.partitions > 1 && prediction.parallel_cost > 0.0) {
     prediction.speedup =
         prediction.sequential_cost / prediction.parallel_cost;
   }
+  predictions_.emplace(key, prediction);
   return prediction;
 }
 

@@ -26,10 +26,15 @@
 //   * PredictKernel — the whole-kernel entry the autotuner and the
 //     predictor-vs-simulated cross-validation bench use: run the rewrite
 //     front half, merge statically, predict the chosen candidate.
+//     WorkloadPredictor is its workload-grounded form, memoized so a
+//     search over many options builds each shared step once.
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <optional>
+#include <tuple>
 #include <vector>
 
 #include "analysis/cost.hpp"
@@ -102,13 +107,16 @@ Prediction PredictKernel(const ir::Kernel& kernel,
 ///     cycles included — with loads resolved against a fresh per-statement
 ///     profile of the REWRITTEN kernel, so dead code the pipeline removed
 ///     does not inflate (or warm the cache for) the parallel side;
-///   * the sequential baseline is the original kernel's per-iteration
-///     occupancy under its own per-statement profile — dead statements
-///     still execute sequentially and must be paid for there.
+///   * the sequential baseline is the per-iteration occupancy of the
+///     kernel after a speculation-free rewrite (sequential code never
+///     executes both arms, and its pipeline removes the same dead code),
+///     under its own per-statement profile.
 ///
 /// `layout`/`params`/`image` describe the prepared workload (the same
 /// inputs KernelRunner interprets); layout and params are keyed by symbol
-/// id, which every rewrite pass preserves.
+/// id, which every rewrite pass preserves.  Equal to
+/// WorkloadPredictor(kernel, merge_profile, layout, params, image,
+/// cache).Predict(options).
 Prediction PredictKernelOnWorkload(const ir::Kernel& kernel,
                                    const compiler::CompileOptions& options,
                                    const analysis::ProfileData* merge_profile,
@@ -116,6 +124,55 @@ Prediction PredictKernelOnWorkload(const ir::Kernel& kernel,
                                    const ir::ParamEnv& params,
                                    const std::vector<std::uint64_t>& image,
                                    const sim::CacheConfig& cache);
+
+/// PredictKernelOnWorkload over one prepared workload, memoized: each step
+/// is computed once per the options it reads, and every Predict returns
+/// the bits a fresh PredictKernelOnWorkload call returns (docs/INTERNALS.md
+/// §14).
+///
+///   * the rewrite front half — rewritten kernel, KernelIndex, code graph
+///     and the rewritten kernel's execution costs — once per
+///     (max_expr_depth, speculation, use_profile);
+///   * the sequential baseline occupancy once per max_expr_depth;
+///   * each Prediction once per its front-half key plus num_cores,
+///     multi_pair_merge, throughput_heuristic, max_channels, the affinity
+///     weights and scales, balance_cap and assumed_transfer_latency.
+///
+/// assumed_queue_capacity is in no key: nothing here reads it.  A step
+/// that throws stores nothing, so the next call throws the same error.
+/// Every argument must outlive the predictor.  Not thread-safe.
+class WorkloadPredictor {
+ public:
+  WorkloadPredictor(const ir::Kernel& kernel,
+                    const analysis::ProfileData* merge_profile,
+                    const ir::DataLayout& layout, const ir::ParamEnv& params,
+                    const std::vector<std::uint64_t>& image,
+                    const sim::CacheConfig& cache);
+  ~WorkloadPredictor();
+
+  Prediction Predict(const compiler::CompileOptions& options);
+
+ private:
+  struct FrontHalf;
+  using FrontHalfKey = std::tuple<int, bool, bool>;
+  using PredictionKey = std::tuple<FrontHalfKey, int, bool, bool, int, double,
+                                   double, double, double, double, double, int>;
+
+  FrontHalf& FrontHalfFor(const FrontHalfKey& key,
+                          const compiler::CompileOptions& options);
+  const std::vector<double>& NodeOccupancy(FrontHalf& front) const;
+  double SequentialOccupancy(const compiler::CompileOptions& options);
+
+  const ir::Kernel& kernel_;
+  const analysis::ProfileData* merge_profile_;
+  const ir::DataLayout& layout_;
+  const ir::ParamEnv& params_;
+  const std::vector<std::uint64_t>& image_;
+  const sim::CacheConfig cache_;
+  std::map<FrontHalfKey, std::unique_ptr<FrontHalf>> front_halves_;
+  std::map<int, double> sequential_occupancy_;  // by max_expr_depth
+  std::map<PredictionKey, Prediction> predictions_;
+};
 
 /// The select-stage cost model: scores each built candidate at its
 /// predicted per-iteration parallel cost (lower wins), so multi-version

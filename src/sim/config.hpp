@@ -8,6 +8,7 @@
 // with latency in the order of tens of cycles").
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <string_view>
 
@@ -66,6 +67,8 @@ struct CacheConfig {
   int l1_latency = 6;    // load-to-use on L1 hit
   int l2_latency = 40;   // L1 miss, L2 hit
   int mem_latency = 200; // L2 miss
+
+  friend auto operator<=>(const CacheConfig&, const CacheConfig&) = default;
 };
 
 /// Hardware queue parameters (Section II, Section V).

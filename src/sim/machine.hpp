@@ -134,8 +134,14 @@ class Machine {
   /// Defined in sim/snapshot.cpp.
   std::vector<std::uint8_t> Snapshot() const;
 
+  /// The program and MachineConfig serialized byte for byte, except
+  /// force_tier: every tier reaches the same state.  Static, so a caller
+  /// can key on a program and config without building a machine.
+  static std::vector<std::uint8_t> IdentityBytes(const isa::Program& program,
+                                                 const MachineConfig& config);
+
   /// Stable fingerprint of this machine's program and configuration (the
-  /// snapshot identity).
+  /// snapshot identity): Fnv1a64 of IdentityBytes.
   std::uint64_t IdentityHash() const;
 
   /// Installs a telemetry sink (non-owning; pass nullptr to disable).  The

@@ -160,11 +160,17 @@ void MemorySystem::SaveState(ByteWriter& w) const {
 // ---------------------------------------------------------------------------
 // Machine
 
-std::uint64_t Machine::IdentityHash() const {
+std::vector<std::uint8_t> Machine::IdentityBytes(const isa::Program& program,
+                                                 const MachineConfig& config) {
   ByteWriter w;
-  HashProgram(w, program_);
-  HashConfig(w, config_);
-  return Fnv1a64(w.bytes().data(), w.bytes().size());
+  HashProgram(w, program);
+  HashConfig(w, config);
+  return w.Take();
+}
+
+std::uint64_t Machine::IdentityHash() const {
+  const std::vector<std::uint8_t> bytes = IdentityBytes(program_, config_);
+  return Fnv1a64(bytes.data(), bytes.size());
 }
 
 std::vector<std::uint8_t> Machine::Snapshot() const {

@@ -108,6 +108,7 @@ struct ThreadedStats {
   std::uint64_t deopt_boundary = 0;
 
   ThreadedStats& operator+=(const ThreadedStats& o);
+  bool operator==(const ThreadedStats&) const = default;
 };
 
 /// Outcome of executing one trace.

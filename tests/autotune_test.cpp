@@ -2,7 +2,17 @@
 // space enumeration, knob application, the predict-rank-simulate-choose
 // loop's frontier discipline and never-worse guarantee, agreement with an
 // exhaustive simulation on a golden space, and the fgpar-tune-v1 codec.
+//
+// AutotuneGolden locks the tuner's exact output: the fgpar-tune-v1 artifact
+// of every Table-I kernel under the default TuneSpace and seed, which
+// carries every candidate's predicted and simulated speedup, hashed per
+// kernel and compared with tests/golden/autotune_artifacts.txt.  To
+// re-record after an *intentional* change, run with FGPAR_GOLDEN_PRINT=1
+// and replace the file with the printed lines.
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -11,6 +21,7 @@
 #include "harness/autotune.hpp"
 #include "kernels/sequoia.hpp"
 #include "support/error.hpp"
+#include "support/serial.hpp"
 
 namespace {
 
@@ -195,6 +206,62 @@ TEST(Autotune, TuneArtifactRoundTripsAndRejectsWrongSchema) {
   EXPECT_THROW(harness::ParseTuneArtifact("{\"schema\":\"fgpar-tune-v0\"}"),
                Error);
   EXPECT_THROW(harness::ParseTuneArtifact("not json"), Error);
+}
+
+/// "<kernel id> <fnv1a64 of its tune artifact>" for each of `specs`, in
+/// order, tuned under the default TuneSpace and seed.
+std::vector<std::string> TuneArtifactLines(
+    const std::vector<kernels::SequoiaKernel>& specs, int sweep_threads) {
+  std::vector<std::string> lines;
+  for (const kernels::SequoiaKernel& spec : specs) {
+    harness::TuneOptions options;
+    options.sweep_threads = sweep_threads;
+    const std::string artifact = harness::EncodeTuneArtifact(
+        harness::AutotuneKernel(kernels::ParseSequoia(spec),
+                                kernels::SequoiaInit(spec),
+                                harness::TuneSpace{}, options));
+    char hash[17];
+    std::snprintf(hash, sizeof hash, "%016llx",
+                  static_cast<unsigned long long>(Fnv1a64(artifact)));
+    lines.push_back(spec.id + " " + hash);
+  }
+  return lines;
+}
+
+TEST(AutotuneGolden, TuneArtifactsByteIdentical) {
+  const std::vector<std::string> serial =
+      TuneArtifactLines(kernels::SequoiaKernels(), /*sweep_threads=*/1);
+  if (std::getenv("FGPAR_GOLDEN_PRINT") != nullptr) {
+    for (const std::string& line : serial) {
+      std::printf("%s\n", line.c_str());
+    }
+    return;
+  }
+  std::vector<std::string> golden;
+  {
+    std::ifstream in(std::string(FGPAR_GOLDEN_DIR) + "/autotune_artifacts.txt");
+    std::string id;
+    std::string hash;
+    while (in >> id >> hash) {
+      golden.push_back(id + " " + hash);
+    }
+  }
+  EXPECT_EQ(serial, golden) << "tuner output drifted at one sweep thread";
+  EXPECT_EQ(TuneArtifactLines(kernels::SequoiaKernels(), /*sweep_threads=*/4),
+            golden)
+      << "tuner output drifted at four sweep threads";
+}
+
+TEST(AutotuneGolden, ConcurrentFrontierMatchesSerial) {
+  // Four sweep threads run one kernel's frontier through one runner at
+  // once, all reading and filling its memo: the artifact must not change.
+  // Small enough to run under ThreadSanitizer.
+  std::vector<kernels::SequoiaKernel> specs;
+  for (const std::string id : {"lammps-1", "irs-1", "umt2k-2"}) {
+    specs.push_back(KernelById(id));
+  }
+  EXPECT_EQ(TuneArtifactLines(specs, /*sweep_threads=*/4),
+            TuneArtifactLines(specs, /*sweep_threads=*/1));
 }
 
 }  // namespace

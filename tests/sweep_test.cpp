@@ -4,8 +4,11 @@
 // The load-bearing property is determinism: a sweep's results — and the
 // deterministic portion of any artifact built from them — must be
 // byte-identical whether the grid ran on 1 host thread or many.
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -16,6 +19,7 @@
 #include "harness/bench_artifact.hpp"
 #include "harness/sweep.hpp"
 #include "kernels/experiments.hpp"
+#include "support/error.hpp"
 #include "support/json.hpp"
 
 namespace {
@@ -200,6 +204,35 @@ TEST(Artifact, WriteFileHonorsBenchDir) {
   EXPECT_EQ(path, dir + "/BENCH_sweep_test_write.json");
   std::remove(path.c_str());
   ASSERT_EQ(unsetenv("FGPAR_BENCH_DIR"), 0);
+}
+
+TEST(Artifact, WriteFileCreatesMissingBenchDir) {
+  const char* tmp = std::getenv("TMPDIR");
+  const std::filesystem::path root =
+      std::filesystem::path(tmp != nullptr && *tmp != '\0' ? tmp : "/tmp") /
+      ("fgpar_bench_dir_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(root);
+  const std::string dir = (root / "nested" / "artifacts").string();
+  ASSERT_EQ(setenv("FGPAR_BENCH_DIR", dir.c_str(), 1), 0);
+  BenchArtifact artifact;
+  artifact.name = "sweep_test_mkdir";
+  const std::string path = dir + "/BENCH_sweep_test_mkdir.json";
+  EXPECT_EQ(artifact.WriteFile(), path);
+  EXPECT_TRUE(std::filesystem::is_regular_file(path));
+
+  // A directory that cannot be created (a file is in the way) is a
+  // structured error that names the path.
+  const std::string blocked = path + "/sub";
+  ASSERT_EQ(setenv("FGPAR_BENCH_DIR", blocked.c_str(), 1), 0);
+  try {
+    artifact.WriteFile();
+    ADD_FAILURE() << "WriteFile into " << blocked << " did not throw";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(blocked), std::string::npos)
+        << e.what();
+  }
+  ASSERT_EQ(unsetenv("FGPAR_BENCH_DIR"), 0);
+  std::filesystem::remove_all(root);
 }
 
 }  // namespace
