@@ -13,7 +13,8 @@
 //    ratios between the three are the per-tier speedups;
 //  * BM_MachineFastForward           — a machine that is mostly idle
 //    (long unpipelined latencies on one core, the rest blocked on
-//    queues), exercising the event fast-forward and blocked-core skip;
+//    queues), exercising the jump over idle cycles and the sleeping
+//    blocked cores;
 //  * BM_QueuePingPong                — queue-bound two-core traffic.
 //  * BM_CoreIssueThroughputTraced    — the reference loop with a telemetry
 //    sink installed (AggregatingSink), i.e. the cost of emitting one
@@ -22,14 +23,16 @@
 // A custom main additionally writes BENCH_sim_throughput.json with
 // wall-clock simulation rates for the auto tier (the "threaded" row:
 // traces on), the fast and slow tiers, and the slow loop under each
-// telemetry sink (aggregating, Chrome trace), so CI archives
-// machine-readable simulator-performance numbers — including the
-// threaded-over-fast ratio its perf-smoke step asserts on — alongside the
-// figures.
+// telemetry sink (aggregating, Chrome trace), all on the single-core issue
+// loop, plus the fast and slow tiers on a four-core fp pipeline, so CI
+// archives machine-readable simulator-performance numbers — including the
+// threaded-over-fast and multi-core fast-over-slow ratios its perf-smoke
+// step asserts on — alongside the figures.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cstdio>
+#include <string>
 
 #include "harness/bench_artifact.hpp"
 #include "isa/assembler.hpp"
@@ -232,6 +235,59 @@ void BM_CacheAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheAccess);
 
+/// A four-core pipeline shaped like the compiled kernels: each iteration,
+/// every core loads two fp values, multiplies them and adds the product
+/// into its running sum; cores 1-3 send their sums to core 0, which adds
+/// all three in and stores the total.  Loads miss the caches regularly,
+/// the adds wait on fp latency, and core 0 waits on its queues, so the
+/// multi-core loop meets every kind of wait.
+isa::Program PipelineProgram(std::int64_t iterations) {
+  isa::Assembler a;
+  for (int c = 0; c < 4; ++c) {
+    a.Bind(a.NewNamedLabel("core" + std::to_string(c)));
+    a.LiI(isa::Gpr{1}, iterations);
+    a.LiI(isa::Gpr{2}, 1);
+    a.LiI(isa::Gpr{3}, 2 * c * iterations);        // this core's x
+    a.LiI(isa::Gpr{4}, (2 * c + 1) * iterations);  // this core's y
+    a.LiI(isa::Gpr{5}, 0);                         // index
+    a.LiI(isa::Gpr{6}, 8 * iterations);            // core 0's output
+    a.LiF(isa::Fpr{3}, 0.0);
+    isa::Label top = a.NewLabel();
+    a.Bind(top);
+    a.LdFX(isa::Fpr{1}, isa::Gpr{3}, isa::Gpr{5});
+    a.LdFX(isa::Fpr{2}, isa::Gpr{4}, isa::Gpr{5});
+    a.MulF(isa::Fpr{4}, isa::Fpr{1}, isa::Fpr{2});
+    a.AddF(isa::Fpr{3}, isa::Fpr{3}, isa::Fpr{4});
+    if (c == 0) {
+      for (int producer = 1; producer < 4; ++producer) {
+        a.DeqF(producer, isa::Fpr{5});
+        a.AddF(isa::Fpr{3}, isa::Fpr{3}, isa::Fpr{5});
+      }
+      a.StFX(isa::Fpr{3}, isa::Gpr{6}, isa::Gpr{5});
+    } else {
+      a.EnqF(0, isa::Fpr{3});
+    }
+    a.AddI(isa::Gpr{5}, isa::Gpr{5}, isa::Gpr{2});
+    a.SubI(isa::Gpr{1}, isa::Gpr{1}, isa::Gpr{2});
+    a.Bnz(isa::Gpr{1}, top);
+    a.Halt();
+  }
+  return a.Finish();
+}
+
+sim::RunResult RunPipeline(const isa::Program& program, std::int64_t iterations,
+                           sim::RunTier tier) {
+  sim::MachineConfig config;
+  config.num_cores = 4;
+  config.memory_words = static_cast<std::uint64_t>(9 * iterations);
+  config.force_tier = tier;
+  sim::Machine machine(config, program);
+  for (int c = 0; c < 4; ++c) {
+    machine.StartCoreAt(c, "core" + std::to_string(c));
+  }
+  return machine.Run();
+}
+
 /// Wall-clock measurement of one run-loop flavour, repeated until
 /// min_seconds of host time accumulate.  Returns simulated instructions
 /// per host second plus the deterministic per-run counts.
@@ -246,30 +302,15 @@ struct ThroughputSample {
 /// real allocation cost instead of amortizing one giant buffer.
 enum class SinkMode { kNone, kAggregating, kChromeTrace };
 
-ThroughputSample MeasureIssueLoop(const isa::Program& program,
-                                  sim::RunTier tier, SinkMode mode,
-                                  double min_seconds) {
+/// Runs `run` until min_seconds of host time accumulate.
+template <typename RunFn>
+ThroughputSample Measure(double min_seconds, RunFn run) {
   ThroughputSample sample;
   std::uint64_t instructions = 0;
   double elapsed = 0.0;
   const auto start = std::chrono::steady_clock::now();
   do {
-    sim::RunResult result;
-    switch (mode) {
-      case SinkMode::kNone:
-        result = RunIssueLoop(program, tier);
-        break;
-      case SinkMode::kAggregating: {
-        telemetry::AggregatingSink sink;
-        result = RunIssueLoop(program, tier, &sink);
-        break;
-      }
-      case SinkMode::kChromeTrace: {
-        telemetry::ChromeTraceSink sink;
-        result = RunIssueLoop(program, tier, &sink);
-        break;
-      }
-    }
+    const sim::RunResult result = run();
     sample.instructions_per_run = result.instructions;
     sample.cycles_per_run = result.cycles;
     instructions += result.instructions;
@@ -279,6 +320,26 @@ ThroughputSample MeasureIssueLoop(const isa::Program& program,
   } while (elapsed < min_seconds);
   sample.sim_instr_per_s = static_cast<double>(instructions) / elapsed;
   return sample;
+}
+
+ThroughputSample MeasureIssueLoop(const isa::Program& program,
+                                  sim::RunTier tier, SinkMode mode,
+                                  double min_seconds) {
+  return Measure(min_seconds, [&] {
+    switch (mode) {
+      case SinkMode::kAggregating: {
+        telemetry::AggregatingSink sink;
+        return RunIssueLoop(program, tier, &sink);
+      }
+      case SinkMode::kChromeTrace: {
+        telemetry::ChromeTraceSink sink;
+        return RunIssueLoop(program, tier, &sink);
+      }
+      case SinkMode::kNone:
+        break;
+    }
+    return RunIssueLoop(program, tier);
+  });
 }
 
 void WriteThroughputArtifact() {
@@ -297,15 +358,25 @@ void WriteThroughputArtifact() {
       program, sim::RunTier::kAuto, SinkMode::kAggregating, kMinSeconds);
   const ThroughputSample chrome = MeasureIssueLoop(
       program, sim::RunTier::kAuto, SinkMode::kChromeTrace, kMinSeconds);
+  constexpr std::int64_t kPipelineIterations = 2000;
+  const isa::Program pipeline = PipelineProgram(kPipelineIterations);
+  const ThroughputSample multicore_fast = Measure(kMinSeconds, [&] {
+    return RunPipeline(pipeline, kPipelineIterations, sim::RunTier::kFast);
+  });
+  const ThroughputSample multicore_slow = Measure(kMinSeconds, [&] {
+    return RunPipeline(pipeline, kPipelineIterations, sim::RunTier::kSlow);
+  });
 
   harness::BenchArtifact artifact;
   artifact.name = "sim_throughput";
   const auto add = [&](const char* label, const ThroughputSample& sample,
-                       const char* path, const char* sink) {
+                       const char* path, const char* sink,
+                       const char* machine = "1-core") {
     harness::BenchArtifact::Point point;
     point.label = label;
     point.params["run_loop"] = path;
     point.params["sink"] = sink;
+    point.params["machine"] = machine;
     point.counters["instructions_per_run"] = sample.instructions_per_run;
     point.counters["cycles_per_run"] = sample.cycles_per_run;
     point.host["sim_instr_per_s"] = sample.sim_instr_per_s;
@@ -316,6 +387,8 @@ void WriteThroughputArtifact() {
   add("issue_loop slow", slow, "slow", "none");
   add("issue_loop aggregating", aggregating, "slow", "aggregating");
   add("issue_loop chrome_trace", chrome, "slow", "chrome_trace");
+  add("pipeline fast", multicore_fast, "fast", "none", "4-core");
+  add("pipeline slow", multicore_slow, "slow", "none", "4-core");
   const auto ratio = [](const ThroughputSample& a, const ThroughputSample& b) {
     return b.sim_instr_per_s > 0.0 ? a.sim_instr_per_s / b.sim_instr_per_s
                                    : 0.0;
@@ -325,17 +398,22 @@ void WriteThroughputArtifact() {
   artifact.host["fast_over_slow"] = ratio(fast, slow);
   artifact.host["fast_over_aggregating"] = ratio(fast, aggregating);
   artifact.host["fast_over_chrome_trace"] = ratio(fast, chrome);
+  artifact.host["multicore_fast_over_slow"] = ratio(multicore_fast, multicore_slow);
   const std::string path = artifact.WriteFile();
   std::fprintf(stderr,
                "wrote %s (threaded %.1fM sim-instr/s, fast %.1fM, slow "
                "%.1fM, aggregating %.1fM, chrome %.1fM; threaded/fast "
-               "%.2fx, fast/slow %.2fx)\n",
+               "%.2fx, fast/slow %.2fx; 4-core pipeline fast %.1fM, slow "
+               "%.1fM, fast/slow %.2fx)\n",
                path.c_str(), threaded.sim_instr_per_s / 1e6,
                fast.sim_instr_per_s / 1e6, slow.sim_instr_per_s / 1e6,
                aggregating.sim_instr_per_s / 1e6,
                chrome.sim_instr_per_s / 1e6,
                artifact.host["threaded_over_fast"],
-               artifact.host["fast_over_slow"]);
+               artifact.host["fast_over_slow"],
+               multicore_fast.sim_instr_per_s / 1e6,
+               multicore_slow.sim_instr_per_s / 1e6,
+               artifact.host["multicore_fast_over_slow"]);
 }
 
 }  // namespace

@@ -22,11 +22,14 @@ namespace fgpar::sim {
 /// they can carry.
 ///
 ///  * kAuto — the fast loop, which on a single-core machine also runs hot
-///            blocks as direct-threaded traces (sim/threaded.hpp).  A
-///            telemetry sink routes the run to the slow loop.
+///            blocks as direct-threaded traces (sim/threaded.hpp).
 ///  * kSlow — the instrumented reference loop (RunSlow).
 ///  * kFast — the fast loop (RunFast / RunFastSingle), never the
-///            translator.
+///            translator.  Multi-core machines run RunFast, which steps
+///            the laggard core first and lets queue-blocked cores sleep.
+///
+/// A telemetry sink or SMT (threads_per_core > 1) routes any tier to the
+/// slow loop: only RunSlow carries the sink and the SMT slot arbitration.
 enum class RunTier : std::uint8_t { kAuto = 0, kSlow, kFast };
 
 /// Parses "auto", "slow", or "fast"; throws fgpar::Error on any other name.
@@ -88,8 +91,6 @@ struct MachineConfig {
   CoreTiming timing;
   CacheConfig cache;
   QueueConfig queue;
-  /// Abort if no core makes progress for this many cycles (deadlock guard).
-  std::uint64_t no_progress_limit = 1ull << 20;
   /// The cycle limit: a run still going at this cycle stops exactly there,
   /// under every run tier, and throws CycleBudgetError.
   std::uint64_t max_cycles = 1ull << 40;
@@ -100,7 +101,8 @@ struct MachineConfig {
   /// Results are bit-identical across tiers, so this knob exists for the
   /// tier-equivalence tests and the tier microbenchmarks, not for
   /// correctness, and is excluded from the snapshot identity hash.  A
-  /// telemetry sink always overrides it toward the reference loop.
+  /// telemetry sink or threads_per_core > 1 always overrides it toward
+  /// the reference loop.
   RunTier force_tier = RunTier::kAuto;
 };
 

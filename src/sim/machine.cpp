@@ -105,8 +105,9 @@ RunResult Machine::Run() {
 
 RunTier Machine::resolved_tier() const {
   // A sink always wins: the reference loop is the only one that carries
-  // the sim-event sink.
-  if (telemetry_ != nullptr) {
+  // the sim-event sink.  It is also the only one with SMT slot arbitration,
+  // which rotates the core order each cycle.
+  if (telemetry_ != nullptr || config_.threads_per_core > 1) {
     return RunTier::kSlow;
   }
   return config_.force_tier;
@@ -132,12 +133,11 @@ RunResult Machine::RunSlow() {
   constexpr std::uint64_t kNoEvent = std::numeric_limits<std::uint64_t>::max();
   int running = RunningCores();
 
-  // `outcomes_` is only cleared once per Run, not once per cycle: a slot is
-  // rewritten whenever its core is evaluated, and stale slots are only ever
-  // read by ChargeSkippedStalls, which runs when *no* core issued — a cycle
-  // in which every active core was evaluated.
-  outcomes_.assign(cores_.size(), StepOutcome::kIdle);
-  std::vector<StepOutcome>& outcomes = outcomes_;
+  // Each core's outcome in the current cycle.  Cleared once per Run, not
+  // once per cycle: a slot is rewritten whenever its core is evaluated, and
+  // stale slots are only read by the skipped-stall charge, which runs when
+  // *no* core issued — a cycle in which every active core was evaluated.
+  std::vector<StepOutcome> outcomes(cores_.size(), StepOutcome::kIdle);
   const int tpc = config_.threads_per_core;
   const int physical = (config_.num_cores + tpc - 1) / tpc;
 
@@ -206,9 +206,6 @@ RunResult Machine::RunSlow() {
       ++now_;
       continue;
     }
-    FGPAR_CHECK_MSG(now_ - last_issue_cycle_ < config_.no_progress_limit,
-                    "no core issued for no_progress_limit cycles");
-
     // No core issued: fast-forward to the next event.
     std::uint64_t next_event = kNoEvent;
     for (std::size_t c = 0; c < cores_.size(); ++c) {
@@ -243,166 +240,212 @@ RunResult Machine::RunSlow() {
       throw DeadlockError(BuildStallReport());
     }
     next_event = std::min(next_event, config_.max_cycles);
-    ChargeSkippedStalls(next_event);
+    // Each core that ended cycle now_ queue-stalled is charged for the
+    // cycles strictly between now_ and next_event, on which no core is
+    // evaluated: now_ was charged by its own evaluation, and next_event is
+    // charged by the next one if it is still blocked.
+    const std::uint64_t skipped = next_event - now_ - 1;
+    for (std::size_t c = 0; c < cores_.size(); ++c) {
+      if (outcomes[c] == StepOutcome::kStallDeqEmpty) {
+        cores_[c].mutable_stats().stall_queue_empty += skipped;
+      } else if (outcomes[c] == StepOutcome::kStallEnqFull) {
+        cores_[c].mutable_stats().stall_queue_full += skipped;
+      }
+    }
     now_ = next_event;
   }
 
   return FinishResult();
-}
-
-void Machine::ChargeSkippedStalls(std::uint64_t next_event) {
-  const std::uint64_t skipped = next_event - now_ - 1;
-  for (std::size_t c = 0; c < cores_.size(); ++c) {
-    if (outcomes_[c] == StepOutcome::kStallDeqEmpty) {
-      cores_[c].mutable_stats().stall_queue_empty += skipped;
-    } else if (outcomes_[c] == StepOutcome::kStallEnqFull) {
-      cores_[c].mutable_stats().stall_queue_full += skipped;
-    }
-  }
 }
 
 RunResult Machine::RunFast() {
-  // Fast path: no trace sink.  The loop mirrors RunSlow cycle-for-cycle —
-  // same SMT slot arbitration, same intra-cycle core order, same
-  // fast-forward events, same stall accounting — but skips the issue
-  // attempt for cores still blocked on the same queue condition that
-  // stalled them last evaluation, and jumps straight to a queue head's
-  // arrival.  A skipped blocked core costs two loads and a compare instead
-  // of a Step call.
-  //
-  // The skip is sound because a queue-stalled core's state is frozen until
-  // its queue condition changes: its pc is unchanged, its source operands
-  // were ready when the stall was diagnosed (ready-cycles only move when
-  // the core itself issues), and its issue stage is free.  Re-evaluating
-  // CanEnqueue/CanDequeue at the core's exact position in the cycle order
-  // therefore reproduces precisely what Step would have concluded.
-  constexpr std::uint64_t kNoEvent = std::numeric_limits<std::uint64_t>::max();
-  int running = RunningCores();
-
-  // Same once-per-Run clear as RunSlow; stale slots are only read in the
-  // no-issue fast-forward, when every active core was evaluated this cycle.
-  outcomes_.assign(cores_.size(), StepOutcome::kIdle);
-  std::vector<StepOutcome>& outcomes = outcomes_;
-  const int tpc = config_.threads_per_core;
-  const int physical = (config_.num_cores + tpc - 1) / tpc;
-
-  while (running > 0) {
-    if (now_ >= config_.max_cycles) {
-      StopAtCycleLimit();
+  // Laggard-first event loop for multi-core machines without SMT.  It
+  // always steps the core whose next evaluation is earliest in (cycle, core
+  // index) order, and keeps stepping it while it stays earliest, so
+  // Core::Step runs in exactly RunSlow's order: core order within a cycle.
+  // RunSlow also re-evaluates a queue-blocked core every cycle, but such a
+  // core is frozen until its partner moves the queue: its pc is unchanged,
+  // its operands were ready when it stalled, and only the partner can fill
+  // or drain that queue.  So here a blocked core sleeps until the partner's
+  // enqueue or dequeue wakes it, and is then charged the cycles it slept,
+  // one for each evaluation RunSlow would have found it stalled.  Memory,
+  // caches, queues, every counter and Snapshot() therefore match RunSlow at
+  // every point of a run: where it completes, deadlocks, stops at
+  // max_cycles or throws a machine check.
+  constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+  struct Lane {
+    std::uint64_t next = kNever;   // cycle of the next evaluation
+    std::uint64_t since = kNever;  // first cycle of the current queue stall
+    const HardwareQueue* queue = nullptr;  // the queue a dequeue waits on
+    int partner = -1;              // the other end of the stalled queue op
+    bool fp = false;               // ... on the fp queue
+    bool full = false;             // stalled enqueuing (else dequeuing)
+  };
+  const std::uint64_t limit = config_.max_cycles;
+  const std::uint64_t start = now_;
+  std::vector<Lane> lanes(cores_.size());
+  int running = 0;
+  for (std::size_t c = 0; c < cores_.size(); ++c) {
+    if (cores_[c].started() && !cores_[c].halted()) {
+      lanes[c].next = std::max(now_, cores_[c].next_issue_cycle());
+      ++running;
     }
+  }
+  int blocked = 0;  // lanes with a queue stall not yet charged
+  // Charges a blocked core's stall through cycle `end` - 1 and clears it.
+  const auto charge = [&](std::size_t c, std::uint64_t end) {
+    Lane& lane = lanes[c];
+    CoreStats& stats = cores_[c].mutable_stats();
+    (lane.full ? stats.stall_queue_full : stats.stall_queue_empty) +=
+        end - lane.since;
+    lane.since = kNever;
+    --blocked;
+  };
 
-    bool issued_any = false;
-    for (int p = 0; p < physical; ++p) {
-      const int base = p * tpc;
-      const int count = std::min(tpc, config_.num_cores - base);
-      const int start =
-          count == 1 ? 0 : static_cast<int>(now_ % static_cast<std::uint64_t>(count));
-      for (int k = 0; k < count; ++k) {
-        const std::size_t c = static_cast<std::size_t>(base + (start + k) % count);
-        Core& core = cores_[c];
-        if (!core.started() || core.halted()) {
-          continue;  // outcome slot stays non-stall forever; never re-read
+  // The latest cycle in which a core issued, and the one before it: a
+  // machine check leaves last_issue_cycle_ where RunSlow has it mid-cycle.
+  std::uint64_t last = start;
+  std::uint64_t prior = start;
+  bool issued = false;
+  std::uint64_t t = start;
+  std::size_t m = 0;
+  try {
+    while (running > 0) {
+      // The earliest lane m, and the runner-up (second, runner) in the
+      // same scan; ties go to the lower index.
+      std::uint64_t first = kNever;
+      std::uint64_t second = kNever;
+      std::size_t runner = lanes.size();
+      m = lanes.size();
+      for (std::size_t c = 0; c < lanes.size(); ++c) {
+        const std::uint64_t next = lanes[c].next;
+        if (next < first) {
+          second = first;
+          runner = m;
+          first = next;
+          m = c;
+        } else if (next < second) {
+          second = next;
+          runner = c;
         }
-        if (core.next_issue_cycle() > now_) {
-          outcomes[c] = StepOutcome::kPipelineBusy;
-          continue;
+      }
+      if (first >= limit) {
+        break;  // every running core is blocked, or waits past the limit
+      }
+      Core& core = cores_[m];
+      Lane& lane = lanes[m];
+      t = first;
+      for (;;) {
+        if (lane.since != kNever) {
+          charge(m, t);  // woken: the op it stalled on issues now
         }
-        int remote = -1;
-        bool is_fp = false;
-        if (core.stalled_on_deq(remote, is_fp)) {
-          const HardwareQueue& q = is_fp ? queues_.FpQueue(remote, core.id())
-                                         : queues_.IntQueue(remote, core.id());
-          if (!q.CanDequeue(now_)) {
-            outcomes[c] = StepOutcome::kStallDeqEmpty;
-            ++core.mutable_stats().stall_queue_empty;
-            continue;
+        const std::int64_t pc = core.pc();
+        const StepOutcome outcome = core.Step(t, decoded_, memory_, queues_);
+        std::uint64_t next = kNever;
+        if (outcome == StepOutcome::kIssued) {
+          if (t != last) {
+            prior = last;
+            last = t;
           }
-        } else if (core.stalled_on_enq(remote, is_fp)) {
-          const HardwareQueue& q = is_fp ? queues_.FpQueue(core.id(), remote)
-                                         : queues_.IntQueue(core.id(), remote);
-          if (!q.CanEnqueue()) {
-            outcomes[c] = StepOutcome::kStallEnqFull;
-            ++core.mutable_stats().stall_queue_full;
-            continue;
+          issued = true;
+          if (core.halted()) {
+            --running;
+            if (m == 0 && !core0_halt_recorded_) {
+              core0_halt_recorded_ = true;
+              core0_halt_cycle_ = t;
+            }
+          } else {
+            next = std::max(t + 1, core.next_issue_cycle());
           }
-        }
-        const StepOutcome outcome = core.Step(now_, decoded_, memory_, queues_);
-        outcomes[c] = outcome;
-        switch (outcome) {
-          case StepOutcome::kIssued:
-            issued_any = true;
-            if (core.halted()) {
-              --running;
-              if (c == 0 && !core0_halt_recorded_) {
-                core0_halt_recorded_ = true;
-                core0_halt_cycle_ = now_;
+          const DecodedInstruction* op = blocked != 0 ? &decoded_.at(pc) : nullptr;
+          if (op != nullptr && (op->is_enqueue || op->is_dequeue)) {
+            // Wake the partner if it is blocked on the queue this op moved:
+            // a dequeue-blocked one when the value arrives, an
+            // enqueue-blocked one this cycle if RunSlow evaluates it after
+            // m, else the next.
+            const std::size_t r = static_cast<std::size_t>(op->queue);
+            Lane& other = lanes[r];
+            if (other.since != kNever && other.partner == static_cast<int>(m) &&
+                other.fp == op->is_fp_queue && other.full == op->is_dequeue) {
+              if (other.full) {
+                other.next = r > m ? t : t + 1;
+              } else if (other.next == kNever) {
+                other.next = other.queue->HeadArrival();
+              }
+              if (other.next < second || (other.next == second && r < runner)) {
+                second = other.next;
+                runner = r;
               }
             }
-            break;
-          case StepOutcome::kStallDeqEmpty:
-            ++core.mutable_stats().stall_queue_empty;
-            break;
-          case StepOutcome::kStallEnqFull:
-            ++core.mutable_stats().stall_queue_full;
-            break;
-          default:
-            break;
+          }
+        } else if (outcome == StepOutcome::kPipelineBusy) {
+          next = core.next_issue_cycle();
+        } else {
+          const DecodedInstruction& op = decoded_.at(pc);
+          lane.since = t;
+          lane.partner = op.queue;
+          lane.fp = op.is_fp_queue;
+          lane.full = outcome == StepOutcome::kStallEnqFull;
+          ++blocked;
+          if (!lane.full) {
+            lane.queue = op.is_fp_queue ? &queues_.FpQueue(op.queue, core.id())
+                                        : &queues_.IntQueue(op.queue, core.id());
+            // CanDequeue(t) was false: a non-empty queue's head arrives later.
+            if (!lane.queue->empty()) {
+              next = lane.queue->HeadArrival();
+            }
+          }
         }
-        if (outcome == StepOutcome::kIssued) {
-          break;  // SMT: the physical core's single issue slot is taken
+        lane.next = next;
+        if (next >= limit || next > second || (next == second && m > runner)) {
+          break;
         }
+        t = next;
       }
     }
-
-    if (issued_any) {
-      last_issue_cycle_ = now_;
-      ++now_;
-      continue;
-    }
-    FGPAR_CHECK_MSG(now_ - last_issue_cycle_ < config_.no_progress_limit,
-                    "no core issued for no_progress_limit cycles");
-
-    // No core issued: fast-forward to the next event (same event model as
-    // RunSlow).  Unlike the reference loop, which advances one cycle at a
-    // time while any dequeue-blocked queue has a value in flight, this loop
-    // jumps straight to the head's arrival: nothing can issue in between
-    // (queue contents are frozen while no core issues, and every
-    // pipeline-free cycle is in the event set), and a stalled core is
-    // charged the same for a crawled cycle and a skipped one.
-    std::uint64_t next_event = kNoEvent;
-    for (std::size_t c = 0; c < cores_.size(); ++c) {
-      const Core& core = cores_[c];
-      if (!core.started() || core.halted()) {
-        continue;
+  } catch (...) {
+    // A machine check in Step at (t, m): RunSlow has evaluated the cores
+    // before m in cycle t but not yet ended the cycle.
+    for (std::size_t c = 0; c < lanes.size(); ++c) {
+      if (lanes[c].since != kNever) {
+        charge(c, c < m ? t + 1 : t);
       }
-      if (core.next_issue_cycle() > now_) {
-        next_event = std::min(next_event, core.next_issue_cycle());
-        continue;
-      }
-      int remote = -1;
-      bool is_fp = false;
-      if (core.stalled_on_deq(remote, is_fp)) {
-        const HardwareQueue& q = is_fp ? queues_.FpQueue(remote, core.id())
-                                       : queues_.IntQueue(remote, core.id());
-        // CanDequeue(now_) was false, so a non-empty queue's head arrives
-        // strictly in the future; its arrival is this core's next event.
-        if (!q.empty()) {
-          next_event = std::min(next_event, q.HeadArrival());
-        }
-      }
-      // Cores stalled on a full queue depend on another core's progress;
-      // they contribute no event of their own.
     }
-
-    if (next_event == kNoEvent) {
-      throw DeadlockError(BuildStallReport());
-    }
-    next_event = std::min(next_event, config_.max_cycles);
-    ChargeSkippedStalls(next_event);
-    now_ = next_event;
+    now_ = t;
+    last_issue_cycle_ = last == t ? prior : last;
+    throw;
   }
-
-  return FinishResult();
+  last_issue_cycle_ = last;
+  // The first cycle RunSlow evaluates after the last issue.
+  const std::uint64_t resume = issued ? last + 1 : start;
+  if (running == 0) {
+    now_ = resume;
+    return FinishResult();
+  }
+  // No core is evaluated before the limit.  If no core has an event at
+  // all, RunSlow finds the deadlock in the first cycle after the last issue
+  // in which every running core has stalled, and charges that cycle too;
+  // otherwise, or if that cycle is past the limit, it stops at the limit.
+  bool deadlock = true;
+  std::uint64_t deadlock_cycle = resume;
+  for (const Lane& lane : lanes) {
+    if (lane.next != kNever) {
+      deadlock = false;
+    } else if (lane.since != kNever) {
+      deadlock_cycle = std::max(deadlock_cycle, lane.since);
+    }
+  }
+  deadlock = deadlock && deadlock_cycle < limit;
+  now_ = deadlock ? deadlock_cycle : limit;
+  for (std::size_t c = 0; c < lanes.size(); ++c) {
+    if (lanes[c].since != kNever) {
+      charge(c, deadlock ? now_ + 1 : now_);
+    }
+  }
+  if (deadlock) {
+    throw DeadlockError(BuildStallReport());
+  }
+  StopAtCycleLimit();
 }
 
 RunResult Machine::RunFastSingle(bool traced) {
@@ -483,12 +526,9 @@ RunResult Machine::RunFastSingle(bool traced) {
       }
       last_issue_cycle_ = now_;
       ++now_;
-    } else {
-      // kPipelineBusy with a strictly future next_issue_cycle; queue stalls
-      // are unreachable on one core, so the next iteration always advances.
-      FGPAR_CHECK_MSG(now_ - last_issue_cycle_ < config_.no_progress_limit,
-                      "no core issued for no_progress_limit cycles");
     }
+    // Otherwise kPipelineBusy with a strictly future next_issue_cycle; queue
+    // stalls are unreachable on one core, so the next iteration advances.
   }
 
   return FinishResult();

@@ -1,12 +1,12 @@
 // The whole simulated machine: N cores, shared memory, queue matrix.
 //
-// The machine steps all cores in lockstep cycles.  When no core can issue
-// in a cycle, time fast-forwards to the next event (pipeline free or queue
-// arrival); if no future event exists the machine is provably deadlocked
-// and a DeadlockError describing every core is thrown — this catches
-// compiler bugs that break the paper's "senders and receivers are always
-// paired at runtime" requirement immediately instead of hanging.  Like
-// the paper's hardware, no simulated component ever fails on its own.
+// The machine steps its cores in (cycle, core index) order.  When no core
+// can issue in a cycle, time fast-forwards to the next event (pipeline free
+// or queue arrival); if no future event exists the machine is provably
+// deadlocked and a DeadlockError describing every core is thrown — this
+// catches compiler bugs that break the paper's "senders and receivers are
+// always paired at runtime" requirement immediately instead of hanging.
+// Like the paper's hardware, no simulated component ever fails on its own.
 //
 // A run either finishes or stops at MachineConfig::max_cycles: the clock
 // never passes the limit (every fast-forward is clamped to it), and a run
@@ -104,30 +104,31 @@ class Machine {
 
   /// Runs until every started core halts.  Throws DeadlockError on queue
   /// deadlock, CycleBudgetError at MachineConfig::max_cycles, and Error on
-  /// a machine check or the no_progress_limit.
+  /// a machine check.
   ///
   /// Three run tiers exist behind this call (docs/INTERNALS.md §12).  All
   /// of them issue through Core::Step against the DecodedProgram the
-  /// constructor built.  The *fast tier* skips cores that provably cannot
-  /// issue this cycle and jumps over cycles in which none can.  The *auto
-  /// tier* (the default when no telemetry sink is
-  /// installed) is the fast tier plus, on a single-core machine, the
-  /// direct-threaded block translator (sim/threaded.hpp), which compiles
-  /// hot basic blocks into computed-goto traces.  The *slow tier* is the
-  /// reference implementation: it polls every core every cycle and
-  /// carries the telemetry sink; it is used iff a telemetry sink is
-  /// installed or MachineConfig::force_tier is kSlow.  force_tier pins the
-  /// choice for equivalence tests and benchmarks (a sink still wins).
-  /// Simulated cycle counts, final memory, and per-core statistics are
-  /// bit-identical across all tiers, and so is where a run stops at
-  /// max_cycles (tests/sim_golden_test.cpp, tests/sim_threaded_test.cpp).
+  /// constructor built.  The *fast tier* steps only the core whose next
+  /// evaluation is earliest and lets queue-blocked cores sleep until their
+  /// partner wakes them.  The *auto tier* (the default when no telemetry
+  /// sink is installed) is the fast tier plus, on a single-core machine,
+  /// the direct-threaded block translator (sim/threaded.hpp), which
+  /// compiles hot basic blocks into computed-goto traces.  The *slow tier*
+  /// is the reference implementation: it polls every core every cycle and
+  /// carries the telemetry sink and SMT slot arbitration; it is used iff a
+  /// telemetry sink is installed, threads_per_core > 1, or
+  /// MachineConfig::force_tier is kSlow.  force_tier pins the choice for
+  /// equivalence tests and benchmarks.  Simulated cycle counts, memory,
+  /// per-core statistics and Snapshot() are bit-identical across all tiers
+  /// wherever a run ends: completion, deadlock, max_cycles or a machine
+  /// check (tests/sim_golden_test.cpp, tests/sim_threaded_test.cpp).
   RunResult Run();
 
   /// Serializes the complete mutable machine state — cycle clock, cores
   /// (registers, scoreboards, call stacks, stall latches, statistics),
   /// queue contents, functional memory, cache timing state, and run-loop
   /// bookkeeping — as a versioned, host-independent byte stream
-  /// ("fgpar-snap-v3").  Repro bundles compare these bytes; nothing reads
+  /// ("fgpar-snap-v4").  Repro bundles compare these bytes; nothing reads
   /// them back.  The stream embeds an identity hash of the program and
   /// MachineConfig, so equal bytes imply the same program and config.
   /// Derived caches (decoded instructions, traces) are not serialized.
@@ -157,7 +158,7 @@ class Machine {
   telemetry::TelemetrySink* telemetry() const { return telemetry_; }
 
   /// The tier Run would use right now: kSlow when a telemetry sink is
-  /// installed, otherwise MachineConfig::force_tier.
+  /// installed or threads_per_core > 1, otherwise MachineConfig::force_tier.
   RunTier resolved_tier() const;
 
   /// Translator/executor observability for the auto tier's traces.  Derived
@@ -180,9 +181,11 @@ class Machine {
   /// the DeadlockError both run loops throw.
   StallReport BuildStallReport() const;
 
-  /// Fast run loop for multi-core machines: issue-skip for blocked cores,
-  /// event jumps, no instrumentation hooks.  Bit-identical timing/state to
-  /// RunSlow.
+  /// Fast run loop for multi-core machines without SMT, laggard first: it
+  /// steps the core whose next evaluation is earliest in (cycle, core
+  /// index) order, while it stays earliest, and a queue-blocked core sleeps
+  /// until its partner's enqueue or dequeue wakes it.  Core::Step runs in
+  /// RunSlow's order, so state matches RunSlow at every point of a run.
   RunResult RunFast();
   /// Single-core fast loop: no SMT arbitration, no queue stalls (a 1-core
   /// machine has no queues), so the loop is just issue /
@@ -194,14 +197,8 @@ class Machine {
   RunResult RunFastSingle(bool traced);
   /// Reference run loop: steps every running core whose issue stage is
   /// free, every cycle, and advances one cycle at a time while a value is
-  /// in flight; carries the telemetry sink.
+  /// in flight; carries the telemetry sink and SMT slot arbitration.
   RunResult RunSlow();
-  /// Charges each core that ended cycle now_ queue-stalled for the cycles
-  /// strictly between now_ and `next_event`, on which no core is evaluated:
-  /// now_ was charged by the core's own evaluation, and next_event is
-  /// charged by the next one if the core is still blocked.  Shared by
-  /// RunSlow and RunFast, so each blocked cycle is charged once.
-  void ChargeSkippedStalls(std::uint64_t next_event);
   /// Telemetry stall-interval tracking (no-ops unless a sink is
   /// installed): records per-core open stalls and emits
   /// kStallBegin/kStallEnd transitions.
@@ -232,7 +229,7 @@ class Machine {
   std::vector<Core> cores_;
   std::uint64_t now_ = 0;
   // Run-loop bookkeeping, kept as members so a snapshot of a failed run
-  // records the no-progress count and core-0 halt record.  Reset at Run
+  // records the last issue cycle and core-0 halt record.  Reset at Run
   // entry.
   std::uint64_t last_issue_cycle_ = 0;
   bool core0_halt_recorded_ = false;
@@ -247,10 +244,6 @@ class Machine {
   /// machine.  Derived state, never serialized.
   std::unique_ptr<ThreadedCache> threaded_;
   ThreadedStats threaded_stats_;
-  /// Per-core outcome of the current cycle, reused across Run calls to
-  /// avoid per-cycle clears (only slots of cores evaluated this cycle are
-  /// written; stale slots are never read — see the run-loop comments).
-  std::vector<StepOutcome> outcomes_;
 };
 
 }  // namespace fgpar::sim

@@ -1,4 +1,4 @@
-// Machine state serialization ("fgpar-snap-v3").
+// Machine state serialization ("fgpar-snap-v4").
 //
 // Everything mutable travels in the snapshot: the cycle clock, each core's
 // architectural and timing state, queue contents (payloads and arrival
@@ -19,7 +19,7 @@ namespace fgpar::sim {
 
 namespace {
 constexpr const char kSnapshotMagic[] = "fgpar-snap";
-constexpr std::uint32_t kSnapshotVersion = 3;
+constexpr std::uint32_t kSnapshotVersion = 4;
 
 void SaveStats(ByteWriter& w, const CoreStats& s) {
   w.U64(s.instructions);
@@ -57,7 +57,6 @@ void HashConfig(ByteWriter& w, const MachineConfig& c) {
   w.U32(static_cast<std::uint32_t>(c.cache.mem_latency));
   w.U32(static_cast<std::uint32_t>(c.queue.capacity));
   w.U32(static_cast<std::uint32_t>(c.queue.transfer_latency));
-  w.U64(c.no_progress_limit);
   w.U64(c.max_cycles);
   w.U32(static_cast<std::uint32_t>(c.call_stack_limit));
   // force_tier is deliberately NOT hashed: results are bit-identical

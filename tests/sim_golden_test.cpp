@@ -12,8 +12,8 @@
 // change, run with FGPAR_GOLDEN_PRINT=1 and paste the emitted table.
 //
 // The FastSlowEquivalence tests go further than the golden table: they run
-// hand-built queue-heavy machines, where the fast path's issue-skip and
-// multi-cycle fast-forward accounting actually engage, through both run
+// hand-built queue-heavy machines, where the fast loop's sleeping blocked
+// cores and their interval stall charges actually engage, through both run
 // loops (MachineConfig::force_tier = kSlow on the reference side) and
 // require every observable — cycles, instruction counts, queue traffic,
 // and each core's stall statistics — to match exactly.
@@ -21,16 +21,23 @@
 // The TierEquivalence tests extend the same contract to all 18 kernels and
 // all three run tiers: every kernel is swept through auto, fast, and slow
 // (RunConfig::force_tier) and all three must agree on every observable,
-// including where a run stops when it reaches its cycle limit.  They are
-// also registered as a standalone ctest label (`ctest -L
-// tier_equivalence`) so CI can gate on the sweep by name.
+// including where a sequential and a parallel run stop when they reach
+// their cycle limit.  Seeded random multi-core programs add the other
+// ways a run ends — deadlock and a machine check — and require the same
+// error text and Snapshot() bytes from every tier.  They are also
+// registered as a standalone ctest label (`ctest -L tier_equivalence`) so
+// CI can gate on the sweep by name.
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <random>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "analysis/profile.hpp"
+#include "compiler/compile.hpp"
 #include "isa/assembler.hpp"
 #include "kernels/experiments.hpp"
 #include "sim/machine.hpp"
@@ -139,13 +146,84 @@ LimitStop RunToLimit(const kernels::SequoiaKernel& spec,
   return stop;
 }
 
+/// The parallel program a KernelRunner measures for `spec` under `config`
+/// (static select with profile feedback), on a machine loaded with the
+/// run's initial memory and armed at the compiled entries.
+struct ParallelMachine {
+  isa::Program program;
+  sim::MachineConfig config;
+  std::vector<std::uint64_t> image;
+
+  /// How `tier` runs it under `max_cycles`: the error text ("" when the
+  /// run completes), the machine's Snapshot() and the core-0 halt cycle.
+  struct Outcome {
+    std::string error;
+    std::vector<std::uint8_t> snapshot;
+    std::uint64_t cycles = 0;
+  };
+  Outcome Run(sim::RunTier tier, std::uint64_t max_cycles) const {
+    sim::MachineConfig machine_config = config;
+    machine_config.force_tier = tier;
+    machine_config.max_cycles = max_cycles;
+    sim::Machine machine(machine_config, program);
+    for (std::uint64_t addr = 0; addr < image.size(); ++addr) {
+      machine.memory().WriteRaw(addr, image[addr]);
+    }
+    machine.StartCoreAt(0, compiler::CompiledParallel::kPrimaryEntry);
+    for (int c = 1; c < config.num_cores; ++c) {
+      machine.StartCoreAt(c, compiler::CompiledParallel::kDriverEntry);
+    }
+    Outcome outcome;
+    try {
+      outcome.cycles = machine.Run().core0_halt_cycle;
+    } catch (const Error& e) {
+      outcome.error = e.what();
+    }
+    outcome.snapshot = machine.Snapshot();
+    return outcome;
+  }
+};
+
+ParallelMachine CompileParallelMachine(const kernels::SequoiaKernel& spec,
+                                       const harness::RunConfig& config) {
+  const ir::Kernel kernel = kernels::ParseSequoia(spec);
+  const ir::DataLayout layout(kernel, /*base=*/64);
+  ir::ParamEnv params(kernel);
+  ParallelMachine out;
+  out.image.assign(layout.end(), 0);
+  kernels::SequoiaInit(spec)(config.seed, kernel, layout, params, out.image);
+  for (const ir::Symbol& sym : kernel.symbols()) {
+    if (sym.kind == ir::SymbolKind::kParam) {
+      out.image[layout.ParamAddressOf(sym.id)] = params.GetRaw(sym.id);
+    }
+  }
+  const analysis::ProfileData profile = analysis::ProfileData::Collect(
+      kernel, layout, params, out.image, config.cache);
+  compiler::CompileOptions options = config.compile;
+  options.assumed_queue_capacity = config.queue.capacity;
+  compiler::CompiledParallel compiled =
+      compiler::CompileParallel(kernel, layout, options, &profile);
+  out.program = std::move(compiled.program);
+  out.config.num_cores = compiled.cores_used;
+  out.config.timing = config.timing;
+  out.config.cache = config.cache;
+  out.config.queue = config.queue;
+  out.config.memory_words = 1024;
+  while (out.config.memory_words < layout.end() + 64) {
+    out.config.memory_words *= 2;
+  }
+  return out;
+}
+
 /// Runs `spec` under all three run tiers with otherwise-identical config
 /// and requires every KernelRun observable to agree.  The sequential leg
 /// of the auto run is single-core and hot, so it genuinely executes inside
 /// traces; its parallel leg runs the multi-core fast loop.  Then each tier
 /// runs again with the cycle limit at half the sequential cycles: all
 /// three must report the same error and hand on_failure the same machine
-/// state.
+/// state.  Last, the compiled parallel program runs on its own machine
+/// with the limit at half the parallel cycles, so the stop lands in the
+/// middle of the multi-core loop, with the same demands.
 void CheckKernelTierEquivalence(const kernels::SequoiaKernel& spec,
                                 const kernels::ExperimentConfig& experiment) {
   harness::RunConfig config = kernels::ToRunConfig(experiment);
@@ -180,6 +258,23 @@ void CheckKernelTierEquivalence(const kernels::SequoiaKernel& spec,
   EXPECT_TRUE(traced_stop.snapshot == slow_stop.snapshot)
       << spec.id << ": auto and slow stop states differ";
   EXPECT_GT(traced_stop.trace_enters, 0u) << spec.id;
+
+  const ParallelMachine parallel = CompileParallelMachine(spec, config);
+  ASSERT_EQ(parallel.Run(sim::RunTier::kFast, sim::MachineConfig().max_cycles).cycles,
+            slow.par_cycles)
+      << spec.id << ": the directly compiled parallel program differs";
+  const std::uint64_t par_limit = slow.par_cycles / 2;
+  const ParallelMachine::Outcome par_slow =
+      parallel.Run(sim::RunTier::kSlow, par_limit);
+  EXPECT_NE(par_slow.error.find("max_cycles = " + std::to_string(par_limit)),
+            std::string::npos)
+      << spec.id << ": " << par_slow.error;
+  for (const sim::RunTier tier : {sim::RunTier::kFast, sim::RunTier::kAuto}) {
+    const ParallelMachine::Outcome par_stop = parallel.Run(tier, par_limit);
+    EXPECT_EQ(par_stop.error, par_slow.error) << spec.id;
+    EXPECT_TRUE(par_stop.snapshot == par_slow.snapshot)
+        << spec.id << ": parallel stop states differ from the slow tier's";
+  }
 }
 
 TEST(TierEquivalence, AllKernelsFourCores) {
@@ -207,10 +302,190 @@ TEST(TierEquivalence, SpeculationConfigAgrees) {
   CheckKernelTierEquivalence(kernels::SequoiaKernelById("sphot-1"), config);
 }
 
+/// A seeded random program for 2-4 cores with queue capacity 1-4 and
+/// transfer latency 1-30.  Every core loops the same number of times over
+/// ALU and fp ops, loads and stores to one shared region, and int and fp
+/// enqueues and dequeues to random partners.  The queue ops are laid out
+/// from one global order of transfers, so most programs complete; an
+/// unmatched queue op makes some deadlock or stop at the limit, and a
+/// divide whose divisor reaches zero in some iteration traps in others.
+struct RandomMachine {
+  isa::Program program;
+  sim::MachineConfig config;
+};
+
+RandomMachine RandomMultiCoreProgram(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  const auto pick = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  RandomMachine out;
+  const int cores = pick(2, 4);
+  out.config.num_cores = cores;
+  out.config.memory_words = 1 << 10;
+  out.config.queue.capacity = pick(1, 4);
+  out.config.queue.transfer_latency = pick(1, 30);
+
+  // r1 counts iterations down, r2 = 1, r3 = the shared region's base, r4 =
+  // the iteration count at which the divisor r1 - r4 is zero; data lives
+  // in r5..r9 and f1..f4.
+  const auto data_gpr = [&] { return isa::Gpr{static_cast<std::uint8_t>(pick(5, 9))}; };
+  const auto data_fpr = [&] { return isa::Fpr{static_cast<std::uint8_t>(pick(1, 4))}; };
+  const auto other_core = [&](int self) {
+    const int other = pick(0, cores - 2);
+    return other >= self ? other + 1 : other;
+  };
+  using Emit = std::function<void(isa::Assembler&)>;
+  std::vector<std::vector<Emit>> body(static_cast<std::size_t>(cores));
+  const auto local = [&](int core) {
+    const isa::Gpr g = data_gpr();
+    const isa::Gpr h = data_gpr();
+    const isa::Fpr f = data_fpr();
+    const isa::Fpr e = data_fpr();
+    const std::int64_t offset = pick(0, 63);
+    Emit emit;
+    switch (pick(0, 5)) {
+      case 0: emit = [=](isa::Assembler& a) { a.AddI(g, h, isa::Gpr{1}); }; break;
+      case 1: emit = [=](isa::Assembler& a) { a.MulI(g, g, h); }; break;
+      case 2: emit = [=](isa::Assembler& a) { a.FmaF(f, e, f); }; break;
+      case 3: emit = [=](isa::Assembler& a) { a.LdI(g, isa::Gpr{3}, offset); }; break;
+      case 4: emit = [=](isa::Assembler& a) { a.LdF(f, isa::Gpr{3}, offset); }; break;
+      default: emit = [=](isa::Assembler& a) { a.StI(g, isa::Gpr{3}, offset); }; break;
+    }
+    body[static_cast<std::size_t>(core)].push_back(std::move(emit));
+  };
+  const auto queue_op = [&](int core, int remote, bool fp, bool enqueue) {
+    const isa::Gpr g = data_gpr();
+    const isa::Fpr f = data_fpr();
+    body[static_cast<std::size_t>(core)].push_back([=](isa::Assembler& a) {
+      if (enqueue) {
+        fp ? a.EnqF(remote, f) : a.EnqI(remote, g);
+      } else {
+        fp ? a.DeqF(remote, f) : a.DeqI(remote, g);
+      }
+    });
+  };
+  const int events = pick(4, 14);
+  for (int e = 0; e < events; ++e) {
+    if (pick(0, 9) < 4) {
+      const int src = pick(0, cores - 1);
+      const int dst = other_core(src);
+      const bool fp = pick(0, 1) == 1;
+      queue_op(src, dst, fp, /*enqueue=*/true);
+      queue_op(dst, src, fp, /*enqueue=*/false);
+    } else {
+      local(pick(0, cores - 1));
+    }
+  }
+  if (pick(0, 5) == 0) {
+    const int core = pick(0, cores - 1);
+    queue_op(core, other_core(core), pick(0, 1) == 1, pick(0, 1) == 1);
+  }
+  const int iterations = pick(2, 12);
+  isa::Assembler a;
+  for (int c = 0; c < cores; ++c) {
+    a.Bind(a.NewNamedLabel("core" + std::to_string(c)));
+    a.LiI(isa::Gpr{1}, iterations);
+    a.LiI(isa::Gpr{2}, 1);
+    a.LiI(isa::Gpr{3}, 64);
+    a.LiI(isa::Gpr{4}, pick(1, 3 * iterations));
+    for (std::uint8_t r = 5; r <= 9; ++r) {
+      a.LiI(isa::Gpr{r}, pick(-9, 9));
+    }
+    for (std::uint8_t r = 1; r <= 4; ++r) {
+      a.LiF(isa::Fpr{r}, pick(-9, 9) * 0.5);
+    }
+    std::vector<Emit>& ops = body[static_cast<std::size_t>(c)];
+    if (pick(0, 2) == 0) {
+      const int at = pick(0, static_cast<int>(ops.size()));
+      ops.insert(ops.begin() + at, [](isa::Assembler& a) {
+        a.SubI(isa::Gpr{10}, isa::Gpr{1}, isa::Gpr{4});
+        a.DivI(isa::Gpr{11}, isa::Gpr{5}, isa::Gpr{10});
+      });
+    }
+    isa::Label top = a.NewLabel();
+    a.Bind(top);
+    for (const Emit& emit : ops) {
+      emit(a);
+    }
+    a.SubI(isa::Gpr{1}, isa::Gpr{1}, isa::Gpr{2});
+    a.Bnz(isa::Gpr{1}, top);
+    a.Halt();
+  }
+  out.program = a.Finish();
+  return out;
+}
+
+TEST(TierEquivalence, RandomMultiCorePrograms) {
+  enum Ending { kCompleted, kDeadlock, kBudget, kMachineCheck, kEndings };
+  struct Outcome {
+    Ending ending = kCompleted;
+    std::string error;
+    std::vector<std::uint8_t> snapshot;
+    std::uint64_t now = 0;
+  };
+  const auto run = [](const RandomMachine& random, sim::RunTier tier,
+                      std::uint64_t max_cycles) {
+    sim::MachineConfig config = random.config;
+    config.force_tier = tier;
+    config.max_cycles = max_cycles;
+    sim::Machine machine(config, random.program);
+    for (int c = 0; c < config.num_cores; ++c) {
+      machine.StartCoreAt(c, "core" + std::to_string(c));
+    }
+    Outcome outcome;
+    try {
+      machine.Run();
+    } catch (const sim::DeadlockError& e) {
+      outcome.ending = kDeadlock;
+      outcome.error = e.what();
+    } catch (const sim::CycleBudgetError& e) {
+      outcome.ending = kBudget;
+      outcome.error = e.what();
+    } catch (const Error& e) {
+      outcome.ending = kMachineCheck;
+      outcome.error = e.what();
+    }
+    outcome.snapshot = machine.Snapshot();
+    outcome.now = machine.now();
+    return outcome;
+  };
+
+  int endings[kEndings] = {};
+  for (std::uint64_t seed = 1; seed <= 250; ++seed) {
+    const RandomMachine random = RandomMultiCoreProgram(seed);
+    const std::uint64_t no_limit = sim::MachineConfig().max_cycles;
+    const Outcome unlimited = run(random, sim::RunTier::kSlow, no_limit);
+    std::mt19937_64 rng(seed);
+    std::uniform_int_distribution<std::uint64_t> limit_at(1, unlimited.now + 1);
+    const std::uint64_t limits[] = {no_limit, limit_at(rng), limit_at(rng),
+                                    limit_at(rng)};
+    for (const std::uint64_t limit : limits) {
+      const Outcome slow = run(random, sim::RunTier::kSlow, limit);
+      ++endings[slow.ending];
+      for (const sim::RunTier tier : {sim::RunTier::kFast, sim::RunTier::kAuto}) {
+        const Outcome other = run(random, tier, limit);
+        ASSERT_EQ(other.error, slow.error) << "seed " << seed << ", limit " << limit;
+        ASSERT_TRUE(other.snapshot == slow.snapshot)
+            << "seed " << seed << ", limit " << limit
+            << ": states differ from the slow tier's";
+      }
+    }
+  }
+  EXPECT_GT(endings[kCompleted], 0);
+  EXPECT_GT(endings[kDeadlock], 0);
+  EXPECT_GT(endings[kBudget], 0);
+  EXPECT_GT(endings[kMachineCheck], 0);
+  std::printf("random programs: %d completed, %d deadlocked, %d stopped at the limit, "
+              "%d trapped\n",
+              endings[kCompleted], endings[kDeadlock], endings[kBudget],
+              endings[kMachineCheck]);
+}
+
 /// Two cores bouncing values through their queues: every fast-path
-/// mechanism engages (issue-skip of the blocked core, the multi-cycle
-/// fast-forward to a queue head's arrival, and its 2k-1 stall-accounting
-/// compensation), so any accounting drift shows up in the per-core stats.
+/// mechanism engages (the blocked core sleeping until its partner's queue
+/// op wakes it, and the stall cycles charged on waking), so any accounting
+/// drift shows up in the per-core stats.
 isa::Program PingPongProgram(std::int64_t rounds) {
   isa::Assembler a;
   isa::Label core0 = a.NewNamedLabel("core0");

@@ -2,7 +2,9 @@
 // deadlock detection, and the Figure 11 transfer-latency behaviour.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "isa/assembler.hpp"
 #include "sim/machine.hpp"
@@ -96,6 +98,43 @@ TEST(Machine, EarlyDequeueStallsUntilArrival) {
     EXPECT_EQ(m.core(1).stats().stall_queue_empty, 51u);
     EXPECT_EQ(m.core(1).gpr(2), 7);
   }
+}
+
+TEST(Machine, LongTransferLatencyCompletes) {
+  // A value in flight for 2^21 cycles: the slow loop crawls the wait one
+  // cycle at a time, the fast loop sleeps through it.  Nothing issues for
+  // two million cycles, yet the run is neither stuck nor deadlocked, and
+  // every tier completes in the same state.
+  Assembler a;
+  isa::Label sender = a.NewNamedLabel("sender");
+  isa::Label receiver = a.NewNamedLabel("receiver");
+  a.Bind(sender);
+  a.LiI(Gpr{1}, 7);
+  a.EnqI(1, Gpr{1});
+  a.Halt();
+  a.Bind(receiver);
+  a.DeqI(0, Gpr{2});
+  a.Halt();
+  const isa::Program program = a.Finish();
+
+  std::vector<std::vector<std::uint8_t>> snapshots;
+  for (RunTier tier : kAllTiers) {
+    SCOPED_TRACE(testing::Message() << "tier " << static_cast<int>(tier));
+    MachineConfig config = TwoCores();
+    config.queue.transfer_latency = 1 << 21;
+    config.force_tier = tier;
+    Machine m(config, program);
+    m.StartCoreAt(0, "sender");
+    m.StartCoreAt(1, "receiver");
+    const RunResult r = m.Run();
+    // Enqueued at cycle 1, the value arrives at 2^21 + 1.
+    EXPECT_EQ(r.cycles, (1u << 21) + 3);
+    EXPECT_EQ(m.core(1).stats().stall_queue_empty, (1u << 21) + 1);
+    EXPECT_EQ(m.core(1).gpr(2), 7);
+    snapshots.push_back(m.Snapshot());
+  }
+  EXPECT_TRUE(snapshots[1] == snapshots[0]) << "fast and slow states differ";
+  EXPECT_TRUE(snapshots[2] == snapshots[0]) << "auto and slow states differ";
 }
 
 TEST(Machine, LateDequeueDoesNotStall) {
@@ -205,11 +244,26 @@ TEST(Machine, DeadlockDetectedWhenBothCoresDequeue) {
   a.Bind(core1);
   a.DeqI(0, Gpr{1});
   a.Halt();
+  const isa::Program program = a.Finish();
 
-  Machine m(TwoCores(), a.Finish());
-  m.StartCoreAt(0, "core0");
-  m.StartCoreAt(1, "core1");
-  EXPECT_THROW(m.Run(), DeadlockError);
+  // Nothing ever issues: every tier finds the deadlock in cycle 0, with
+  // each core charged that one stalled cycle, in the same state.
+  std::vector<std::vector<std::uint8_t>> snapshots;
+  for (RunTier tier : kAllTiers) {
+    SCOPED_TRACE(testing::Message() << "tier " << static_cast<int>(tier));
+    MachineConfig config = TwoCores();
+    config.force_tier = tier;
+    Machine m(config, program);
+    m.StartCoreAt(0, "core0");
+    m.StartCoreAt(1, "core1");
+    EXPECT_THROW(m.Run(), DeadlockError);
+    EXPECT_EQ(m.now(), 0u);
+    EXPECT_EQ(m.core(0).stats().stall_queue_empty, 1u);
+    EXPECT_EQ(m.core(1).stats().stall_queue_empty, 1u);
+    snapshots.push_back(m.Snapshot());
+  }
+  EXPECT_TRUE(snapshots[1] == snapshots[0]) << "fast and slow states differ";
+  EXPECT_TRUE(snapshots[2] == snapshots[0]) << "auto and slow states differ";
 }
 
 TEST(Machine, DeadlockDetectedOnEnqueueToHaltedReceiver) {
@@ -225,11 +279,20 @@ TEST(Machine, DeadlockDetectedOnEnqueueToHaltedReceiver) {
   a.Halt();
   a.Bind(core1);
   a.Halt();
+  const isa::Program program = a.Finish();
 
-  Machine m(config, a.Finish());
-  m.StartCoreAt(0, "core0");
-  m.StartCoreAt(1, "core1");
-  EXPECT_THROW(m.Run(), DeadlockError);
+  // The second enqueue stalls at cycle 2, the first cycle after the last
+  // issue: the deadlock is found there, with that one cycle charged.
+  for (RunTier tier : kAllTiers) {
+    SCOPED_TRACE(testing::Message() << "tier " << static_cast<int>(tier));
+    config.force_tier = tier;
+    Machine m(config, program);
+    m.StartCoreAt(0, "core0");
+    m.StartCoreAt(1, "core1");
+    EXPECT_THROW(m.Run(), DeadlockError);
+    EXPECT_EQ(m.now(), 2u);
+    EXPECT_EQ(m.core(0).stats().stall_queue_full, 1u);
+  }
 }
 
 TEST(Machine, DeadlockMessageNamesStuckCores) {
@@ -353,6 +416,20 @@ TEST(Machine, FourCoreAllToAll) {
   EXPECT_EQ(m.core(2).gpr(2), 0 + 1 + 3);
   EXPECT_EQ(m.core(3).gpr(2), 0 + 1 + 2);
   EXPECT_EQ(m.queues().UsedChannelCount(), 12);
+}
+
+TEST(Machine, RunWithoutStartedCoresEndsAtOnce) {
+  Assembler a;
+  a.Halt();
+  const isa::Program program = a.Finish();
+  for (RunTier tier : kAllTiers) {
+    SCOPED_TRACE(testing::Message() << "tier " << static_cast<int>(tier));
+    MachineConfig config = TwoCores();
+    config.force_tier = tier;
+    Machine m(config, program);
+    EXPECT_EQ(m.Run().cycles, 0u);
+    EXPECT_EQ(m.now(), 0u);
+  }
 }
 
 TEST(Machine, TransferLatencyOfZeroRejected) {
