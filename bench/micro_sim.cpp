@@ -3,14 +3,12 @@
 // the cache hierarchy.  These measure the *host* cost of simulation, not
 // simulated time — useful for sizing experiment sweeps.
 //
-// Coverage of the three run tiers (see docs/INTERNALS.md):
-//  * BM_CoreIssueThroughputThreaded  — the auto tier, whose single-core
-//    loop runs hot blocks as direct-threaded traces;
-//  * BM_CoreIssueThroughput          — the fast loop (pinned with
-//    force_tier = kFast, which never enters traces);
+// Coverage of the two run tiers (see docs/INTERNALS.md):
+//  * BM_CoreIssueThroughputThreaded  — the auto tier, whose fast loop runs
+//    hot blocks of a single-core machine as direct-threaded traces;
 //  * BM_CoreIssueThroughputSlowPath  — same program on the instrumented
 //    reference loop, which steps the core every cycle it is free; the
-//    ratios between the three are the per-tier speedups;
+//    ratio between the two is the single-core tier speedup;
 //  * BM_MachineFastForward           — a machine that is mostly idle
 //    (long unpipelined latencies on one core, the rest blocked on
 //    queues), exercising the jump over idle cycles and the sleeping
@@ -22,11 +20,11 @@
 //
 // A custom main additionally writes BENCH_sim_throughput.json with
 // wall-clock simulation rates for the auto tier (the "threaded" row:
-// traces on), the fast and slow tiers, and the slow loop under each
-// telemetry sink (aggregating, Chrome trace), all on the single-core issue
-// loop, plus the fast and slow tiers on a four-core fp pipeline, so CI
-// archives machine-readable simulator-performance numbers — including the
-// threaded-over-fast and multi-core fast-over-slow ratios its perf-smoke
+// traces on), the slow tier, and the slow loop under each telemetry sink
+// (aggregating, Chrome trace), all on the single-core issue loop, plus the
+// auto and slow tiers on a four-core fp pipeline, so CI archives
+// machine-readable simulator-performance numbers — including the
+// threaded-over-slow and multi-core auto-over-slow ratios its perf-smoke
 // step asserts on — alongside the figures.
 #include <benchmark/benchmark.h>
 
@@ -88,20 +86,9 @@ void BM_CoreIssueThroughputThreaded(benchmark::State& state) {
 }
 BENCHMARK(BM_CoreIssueThroughputThreaded)->Arg(1000)->Arg(10000);
 
-void BM_CoreIssueThroughput(benchmark::State& state) {
-  const isa::Program program = IssueLoopProgram(state.range(0));
-  std::uint64_t instructions = 0;
-  for (auto _ : state) {
-    instructions += RunIssueLoop(program, sim::RunTier::kFast).instructions;
-  }
-  state.counters["sim_instr/s"] = benchmark::Counter(
-      static_cast<double>(instructions), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_CoreIssueThroughput)->Arg(1000)->Arg(10000);
-
 void BM_CoreIssueThroughputSlowPath(benchmark::State& state) {
   // The instrumented reference loop on the same program.  Compare against
-  // BM_CoreIssueThroughput for the fast-path speedup.
+  // BM_CoreIssueThroughputThreaded for the auto tier's speedup.
   const isa::Program program = IssueLoopProgram(state.range(0));
   std::uint64_t instructions = 0;
   for (auto _ : state) {
@@ -116,7 +103,7 @@ void BM_CoreIssueThroughputTraced(benchmark::State& state) {
   // The reference loop with an AggregatingSink installed: one issue event
   // per instruction on top of BM_CoreIssueThroughputSlowPath.  The delta
   // against the slow path is the telemetry emission cost; the delta
-  // against the fast path is the full price of turning tracing on.
+  // against the threaded path is the full price of turning tracing on.
   const isa::Program program = IssueLoopProgram(state.range(0));
   std::uint64_t instructions = 0;
   for (auto _ : state) {
@@ -347,8 +334,6 @@ void WriteThroughputArtifact() {
   constexpr double kMinSeconds = 0.2;
   const ThroughputSample threaded = MeasureIssueLoop(
       program, sim::RunTier::kAuto, SinkMode::kNone, kMinSeconds);
-  const ThroughputSample fast = MeasureIssueLoop(
-      program, sim::RunTier::kFast, SinkMode::kNone, kMinSeconds);
   const ThroughputSample slow = MeasureIssueLoop(
       program, sim::RunTier::kSlow, SinkMode::kNone, kMinSeconds);
   // Telemetry implies the reference loop, so the tier is redundant for
@@ -360,8 +345,8 @@ void WriteThroughputArtifact() {
       program, sim::RunTier::kAuto, SinkMode::kChromeTrace, kMinSeconds);
   constexpr std::int64_t kPipelineIterations = 2000;
   const isa::Program pipeline = PipelineProgram(kPipelineIterations);
-  const ThroughputSample multicore_fast = Measure(kMinSeconds, [&] {
-    return RunPipeline(pipeline, kPipelineIterations, sim::RunTier::kFast);
+  const ThroughputSample multicore_auto = Measure(kMinSeconds, [&] {
+    return RunPipeline(pipeline, kPipelineIterations, sim::RunTier::kAuto);
   });
   const ThroughputSample multicore_slow = Measure(kMinSeconds, [&] {
     return RunPipeline(pipeline, kPipelineIterations, sim::RunTier::kSlow);
@@ -383,37 +368,32 @@ void WriteThroughputArtifact() {
     artifact.points.push_back(std::move(point));
   };
   add("issue_loop threaded", threaded, "threaded", "none");
-  add("issue_loop fast", fast, "fast", "none");
   add("issue_loop slow", slow, "slow", "none");
   add("issue_loop aggregating", aggregating, "slow", "aggregating");
   add("issue_loop chrome_trace", chrome, "slow", "chrome_trace");
-  add("pipeline fast", multicore_fast, "fast", "none", "4-core");
+  add("pipeline auto", multicore_auto, "auto", "none", "4-core");
   add("pipeline slow", multicore_slow, "slow", "none", "4-core");
   const auto ratio = [](const ThroughputSample& a, const ThroughputSample& b) {
     return b.sim_instr_per_s > 0.0 ? a.sim_instr_per_s / b.sim_instr_per_s
                                    : 0.0;
   };
-  artifact.host["threaded_over_fast"] = ratio(threaded, fast);
   artifact.host["threaded_over_slow"] = ratio(threaded, slow);
-  artifact.host["fast_over_slow"] = ratio(fast, slow);
-  artifact.host["fast_over_aggregating"] = ratio(fast, aggregating);
-  artifact.host["fast_over_chrome_trace"] = ratio(fast, chrome);
-  artifact.host["multicore_fast_over_slow"] = ratio(multicore_fast, multicore_slow);
+  // A sink runs on the slow loop, so its cost is measured against it.
+  artifact.host["slow_over_aggregating"] = ratio(slow, aggregating);
+  artifact.host["slow_over_chrome_trace"] = ratio(slow, chrome);
+  artifact.host["multicore_auto_over_slow"] = ratio(multicore_auto, multicore_slow);
   const std::string path = artifact.WriteFile();
   std::fprintf(stderr,
-               "wrote %s (threaded %.1fM sim-instr/s, fast %.1fM, slow "
-               "%.1fM, aggregating %.1fM, chrome %.1fM; threaded/fast "
-               "%.2fx, fast/slow %.2fx; 4-core pipeline fast %.1fM, slow "
-               "%.1fM, fast/slow %.2fx)\n",
+               "wrote %s (threaded %.1fM sim-instr/s, slow %.1fM, "
+               "aggregating %.1fM, chrome %.1fM; threaded/slow %.2fx; "
+               "4-core pipeline auto %.1fM, slow %.1fM, auto/slow %.2fx)\n",
                path.c_str(), threaded.sim_instr_per_s / 1e6,
-               fast.sim_instr_per_s / 1e6, slow.sim_instr_per_s / 1e6,
-               aggregating.sim_instr_per_s / 1e6,
+               slow.sim_instr_per_s / 1e6, aggregating.sim_instr_per_s / 1e6,
                chrome.sim_instr_per_s / 1e6,
-               artifact.host["threaded_over_fast"],
-               artifact.host["fast_over_slow"],
-               multicore_fast.sim_instr_per_s / 1e6,
+               artifact.host["threaded_over_slow"],
+               multicore_auto.sim_instr_per_s / 1e6,
                multicore_slow.sim_instr_per_s / 1e6,
-               artifact.host["multicore_fast_over_slow"]);
+               artifact.host["multicore_auto_over_slow"]);
 }
 
 }  // namespace

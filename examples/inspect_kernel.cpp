@@ -4,13 +4,19 @@
 //
 // Prints the rewritten (fiberized) kernel, the per-core partition, the
 // communication plan, and — after simulating — per-core cycle/stall
-// breakdowns.  Defaults to lammps-1 on 4 cores.
+// breakdowns.  Defaults to lammps-1 on 4 cores.  Everything shown is the
+// program KernelRunner measures (a profile-fed compile on the prepared
+// workload), run on the measured machine; the tool exits 1 if that
+// machine's core-0 halt cycle or instruction total differs from the
+// KernelRun's.
 #include <cstdio>
 #include <cstring>
 #include <string>
 
 #include "analysis/index.hpp"
+#include "analysis/profile.hpp"
 #include "compiler/compile.hpp"
+#include "harness/runner.hpp"
 #include "isa/disasm.hpp"
 #include "kernels/experiments.hpp"
 #include "kernels/sequoia.hpp"
@@ -41,14 +47,25 @@ int main(int argc, char** argv) {
   std::printf("=== %s (%s) — %s ===\n\n", spec.id.c_str(),
               spec.application.c_str(), spec.location.c_str());
 
-  const ir::Kernel kernel = kernels::ParseSequoia(spec);
-  const ir::DataLayout layout(kernel);
-  compiler::CompileOptions options;
-  options.num_cores = cores;
-  options.speculation = speculate;
+  kernels::ExperimentConfig experiment;
+  experiment.cores = cores;
+  experiment.speculation = speculate;
+  const harness::RunConfig config = kernels::ToRunConfig(experiment);
+  const harness::KernelRunner runner(kernels::ParseSequoia(spec),
+                                     kernels::SequoiaInit(spec));
+  const ir::Kernel& kernel = runner.kernel();
+  const ir::DataLayout& layout = runner.layout();
 
+  // The program the runner measures: the compiler fed the original
+  // kernel's profile on the run's workload.
+  const harness::PreparedWorkload workload(kernel, layout,
+                                           kernels::SequoiaInit(spec), config.seed);
+  const analysis::ProfileData profile = analysis::ProfileData::Collect(
+      kernel, layout, workload.params, workload.image, config.cache);
+  compiler::CompileOptions options = config.compile;
+  options.assumed_queue_capacity = config.queue.capacity;
   const compiler::CompiledParallel compiled =
-      compiler::CompileParallel(kernel, layout, options);
+      compiler::CompileParallel(kernel, layout, options, &profile);
 
   std::printf("--- rewritten kernel (after split/speculation/forwarding/"
               "fiberize) ---\n%s\n",
@@ -87,38 +104,11 @@ int main(int argc, char** argv) {
                 isa::DisassembleProgram(compiled.program).c_str());
   }
 
-  // Run and report per-core behaviour on a fresh machine.
-  {
-    const ir::Kernel k2 = kernels::ParseSequoia(spec);
-    harness::KernelRunner runner(k2, kernels::SequoiaInit(spec));
-    (void)runner;
-  }
-  sim::MachineConfig mconfig;
-  mconfig.num_cores = compiled.cores_used;
-  std::uint64_t words = 1024;
-  while (words < layout.end() + 64) {
-    words *= 2;
-  }
-  mconfig.memory_words = words;
-  sim::Machine machine(mconfig, compiled.program);
-  {
-    ir::ParamEnv env(kernel);
-    std::vector<std::uint64_t> image(layout.end(), 0);
-    kernels::SequoiaInit(spec)(0x5EED, kernel, layout, env, image);
-    for (const ir::Symbol& sym : kernel.symbols()) {
-      if (sym.kind == ir::SymbolKind::kParam) {
-        image[layout.ParamAddressOf(sym.id)] = env.GetRaw(sym.id);
-      }
-    }
-    for (std::uint64_t a2 = 0; a2 < image.size(); ++a2) {
-      machine.memory().WriteRaw(a2, image[a2]);
-    }
-  }
-  machine.StartCoreAt(0, "main");
-  for (int c = 1; c < compiled.cores_used; ++c) {
-    machine.StartCoreAt(c, "driver");
-  }
-  machine.Run();
+  // Run the measured machine and report per-core behaviour.
+  harness::MeasuredMachine machine(
+      harness::MeasuredMachineConfig(config, layout, compiled.cores_used),
+      compiled.program, workload.image);
+  const sim::RunResult result = machine.Run();
   std::printf("\n--- per-core pipeline behaviour ---\n");
   for (int c = 0; c < compiled.cores_used; ++c) {
     const sim::CoreStats& st = machine.core(c).stats();
@@ -129,11 +119,12 @@ int main(int argc, char** argv) {
                 (unsigned long long)st.stall_queue_empty,
                 (unsigned long long)st.stall_queue_full);
   }
+  std::printf("machine: %s cycles, core 0 halted at %s (%s instructions)\n",
+              FormatWithCommas(static_cast<long long>(result.cycles)).c_str(),
+              FormatWithCommas(static_cast<long long>(result.core0_halt_cycle)).c_str(),
+              FormatWithCommas(static_cast<long long>(result.instructions)).c_str());
 
-  kernels::ExperimentConfig config;
-  config.cores = cores;
-  config.speculation = speculate;
-  const harness::KernelRun run = kernels::RunKernel(spec, config);
+  const harness::KernelRun run = runner.Run(config);
   std::printf("\n--- simulation ---\n");
   std::printf("sequential: %s cycles (%s instructions)\n",
               FormatWithCommas(static_cast<long long>(run.seq_cycles)).c_str(),
@@ -146,5 +137,17 @@ int main(int argc, char** argv) {
               "peak queue occupancy %d/20)\n",
               run.speedup, run.load_balance, run.queues_used,
               run.max_queue_occupancy);
+  if (result.core0_halt_cycle != run.par_cycles ||
+      result.instructions != run.par_instructions) {
+    std::fprintf(stderr,
+                 "inspect_kernel: the inspected machine is not the measured "
+                 "one (core 0 halted at %llu, not %llu; %llu instructions, "
+                 "not %llu)\n",
+                 (unsigned long long)result.core0_halt_cycle,
+                 (unsigned long long)run.par_cycles,
+                 (unsigned long long)result.instructions,
+                 (unsigned long long)run.par_instructions);
+    return 1;
+  }
   return 0;
 }

@@ -70,13 +70,61 @@ void CompareNativeMemory(const std::vector<std::uint64_t>& actual,
 
 }  // namespace
 
+PreparedWorkload::PreparedWorkload(const ir::Kernel& kernel,
+                                   const ir::DataLayout& layout,
+                                   const WorkloadInit& init, std::uint64_t seed)
+    : params(kernel), image(layout.end(), 0) {
+  init(seed, kernel, layout, params, image);
+  params.CheckComplete(kernel);
+  for (const ir::Symbol& sym : kernel.symbols()) {
+    if (sym.kind == ir::SymbolKind::kParam) {
+      image[layout.ParamAddressOf(sym.id)] = params.GetRaw(sym.id);
+    }
+  }
+}
+
+sim::MachineConfig MeasuredMachineConfig(const RunConfig& config,
+                                         const ir::DataLayout& layout,
+                                         int cores) {
+  sim::MachineConfig machine;
+  machine.num_cores = cores;
+  machine.threads_per_core = std::min(config.threads_per_core, cores);
+  machine.timing = config.timing;
+  machine.cache = config.cache;
+  machine.queue = config.queue;
+  machine.force_tier = config.force_tier;
+  if (config.max_cycles != 0) {
+    machine.max_cycles = config.max_cycles;
+  }
+  // Round the data region up to a power-of-two-ish budget with headroom.
+  std::uint64_t words = 1024;
+  while (words < layout.end() + 64) {
+    words *= 2;
+  }
+  machine.memory_words = words;
+  return machine;
+}
+
+MeasuredMachine::MeasuredMachine(const sim::MachineConfig& config,
+                                 const isa::Program& program,
+                                 const std::vector<std::uint64_t>& image)
+    : sim::Machine(config, program) {
+  for (std::uint64_t addr = 0; addr < image.size(); ++addr) {
+    memory().WriteRaw(addr, image[addr]);
+  }
+  StartCoreAt(0, compiler::CompiledParallel::kPrimaryEntry);
+  for (int c = 1; c < config.num_cores; ++c) {
+    StartCoreAt(c, compiler::CompiledParallel::kDriverEntry);
+  }
+}
+
 /// What one workload seed determines.  Entries are built under the memo's
 /// mutex, never change once built and are never erased, so references to
 /// them stay valid, unlocked, for the runner's life.
 struct KernelRunner::Workload {
-  explicit Workload(Prepared prepared) : prepared(std::move(prepared)) {}
+  explicit Workload(PreparedWorkload prepared) : prepared(std::move(prepared)) {}
 
-  Prepared prepared;
+  PreparedWorkload prepared;
   /// Interpreted on the first Run.
   std::optional<std::vector<std::uint64_t>> golden;
   /// The original kernel's profile, per cache.
@@ -102,22 +150,8 @@ KernelRunner::KernelRunner(const ir::Kernel& kernel, WorkloadInit init)
 
 KernelRunner::~KernelRunner() = default;
 
-KernelRunner::Prepared KernelRunner::Prepare(std::uint64_t seed) const {
-  Prepared prepared{ir::ParamEnv(kernel_),
-                    std::vector<std::uint64_t>(layout_.end(), 0)};
-  init_(seed, kernel_, layout_, prepared.params, prepared.image);
-  prepared.params.CheckComplete(kernel_);
-  // Publish parameter values into the layout's parameter block so compiled
-  // code can load them at startup.
-  for (const ir::Symbol& sym : kernel_.symbols()) {
-    if (sym.kind == ir::SymbolKind::kParam) {
-      prepared.image[layout_.ParamAddressOf(sym.id)] = prepared.params.GetRaw(sym.id);
-    }
-  }
-  return prepared;
-}
-
-std::vector<std::uint64_t> KernelRunner::GoldenMemory(const Prepared& prepared) const {
+std::vector<std::uint64_t> KernelRunner::GoldenMemory(
+    const PreparedWorkload& prepared) const {
   std::vector<std::uint64_t> memory = prepared.image;
   ir::Interpreter interp(kernel_, layout_, prepared.params, memory);
   interp.Run();
@@ -127,7 +161,9 @@ std::vector<std::uint64_t> KernelRunner::GoldenMemory(const Prepared& prepared) 
 KernelRunner::Workload& KernelRunner::WorkloadFor(std::uint64_t seed) const {
   auto it = memo_->workloads.find(seed);
   if (it == memo_->workloads.end()) {
-    it = memo_->workloads.try_emplace(seed, Prepare(seed)).first;
+    it = memo_->workloads
+             .try_emplace(seed, PreparedWorkload(kernel_, layout_, init_, seed))
+             .first;
   }
   return it->second;
 }
@@ -143,34 +179,6 @@ const analysis::ProfileData& KernelRunner::ProfileFor(
              .first;
   }
   return it->second;
-}
-
-sim::MachineConfig KernelRunner::MachineConfigFor(const RunConfig& config,
-                                                  int cores) const {
-  sim::MachineConfig machine;
-  machine.num_cores = cores;
-  machine.threads_per_core = std::min(config.threads_per_core, cores);
-  machine.timing = config.timing;
-  machine.cache = config.cache;
-  machine.queue = config.queue;
-  machine.force_tier = config.force_tier;
-  if (config.max_cycles != 0) {
-    machine.max_cycles = config.max_cycles;
-  }
-  // Round the data region up to a power-of-two-ish budget with headroom.
-  std::uint64_t words = 1024;
-  while (words < layout_.end() + 64) {
-    words *= 2;
-  }
-  machine.memory_words = words;
-  return machine;
-}
-
-void KernelRunner::LoadImage(sim::Machine& machine,
-                             const std::vector<std::uint64_t>& image) const {
-  for (std::uint64_t addr = 0; addr < image.size(); ++addr) {
-    machine.memory().WriteRaw(addr, image[addr]);
-  }
 }
 
 void KernelRunner::CompareMemory(const sim::Machine& machine,
@@ -231,7 +239,7 @@ KernelRun KernelRunner::Run(const RunConfig& config) const {
     }
     workload = &entry;
   }
-  const Prepared& prepared = workload->prepared;
+  const PreparedWorkload& prepared = workload->prepared;
   const std::vector<std::uint64_t>& golden = *workload->golden;
 
   KernelRun run;
@@ -249,7 +257,8 @@ KernelRun KernelRunner::Run(const RunConfig& config) const {
   // telemetry sink must see the run's events.
   const auto measure = [&](RunKind kind, const isa::Program& program,
                            int cores, const std::string& verify_what) {
-    const sim::MachineConfig machine_config = MachineConfigFor(config, cores);
+    const sim::MachineConfig machine_config =
+        MeasuredMachineConfig(config, layout_, cores);
     const bool memoize = config.telemetry == nullptr;
     std::string key;
     if (memoize) {
@@ -260,15 +269,8 @@ KernelRun KernelRunner::Run(const RunConfig& config) const {
         return it->second;
       }
     }
-    sim::Machine machine(machine_config, program);
-    LoadImage(machine, prepared.image);
-    if (kind == RunKind::kSequential) {
-      machine.StartCoreAt(0, "main");
-    } else {
-      machine.StartCoreAt(0, compiler::CompiledParallel::kPrimaryEntry);
-      for (int c = 1; c < cores; ++c) {
-        machine.StartCoreAt(c, compiler::CompiledParallel::kDriverEntry);
-      }
+    MeasuredMachine machine(machine_config, program, prepared.image);
+    if (kind == RunKind::kParallel) {
       machine.SetTelemetry(config.telemetry);
     }
     MeasuredRun measured;
@@ -328,12 +330,8 @@ KernelRun KernelRunner::Run(const RunConfig& config) const {
       RunConfig training = config;
       training.queue.transfer_latency = config.compile.assumed_transfer_latency;
       training.max_cycles = 0;  // tuning runs are never budgeted
-      sim::Machine machine(MachineConfigFor(training, cores), program);
-      LoadImage(machine, prepared.image);
-      machine.StartCoreAt(0, compiler::CompiledParallel::kPrimaryEntry);
-      for (int c = 1; c < cores; ++c) {
-        machine.StartCoreAt(c, compiler::CompiledParallel::kDriverEntry);
-      }
+      MeasuredMachine machine(MeasuredMachineConfig(training, layout_, cores),
+                              program, prepared.image);
       return machine.Run().core0_halt_cycle;
     };
     // With a telemetry sink, the compile contributes its pipeline/pass

@@ -55,6 +55,18 @@ using WorkloadInit =
                        const ir::DataLayout&, ir::ParamEnv&,
                        std::vector<std::uint64_t>&)>;
 
+/// The workload `init` prepares for `seed`: the parameter values and the
+/// initial memory image (sized layout.end()), with every parameter also
+/// published into the layout's parameter block so compiled code can load
+/// it at startup.
+struct PreparedWorkload {
+  PreparedWorkload(const ir::Kernel& kernel, const ir::DataLayout& layout,
+                   const WorkloadInit& init, std::uint64_t seed);
+
+  ir::ParamEnv params;
+  std::vector<std::uint64_t> image;
+};
+
 /// Thrown when a simulated execution's memory differs from the golden
 /// model.  Distinguished from other errors so callers can tell a wrong
 /// result from a machine that failed to finish.
@@ -94,10 +106,10 @@ struct RunConfig {
   /// default reproduces the historical SequoiaInit workloads.
   std::uint64_t seed = 0x5EED;
   /// Pins every simulated machine to one run tier (see
-  /// MachineConfig::force_tier; kAuto picks the fastest eligible tier).
-  /// Results are bit-identical across tiers — this knob exists so
-  /// fgparc --tier can pin a tier and the tier-equivalence tests can
-  /// demand a specific loop.
+  /// MachineConfig::force_tier; kAuto runs the fast loop wherever it is
+  /// eligible).  Results are bit-identical across tiers — this knob exists
+  /// so fgparc --tier can pin the reference loop and the tier-equivalence
+  /// tests can demand it.
   sim::RunTier force_tier = sim::RunTier::kAuto;
   /// Execution backend.  kSim (default) runs everything on the simulator.
   /// kNative additionally executes the kernel for real on host threads —
@@ -128,6 +140,23 @@ struct RunConfig {
   /// tuning runs stay untraced — they are reference measurements, not the
   /// subject of the trace.
   telemetry::TelemetrySink* telemetry = nullptr;
+};
+
+/// The MachineConfig of a measured run of `config` on `cores` cores: its
+/// timing, caches, queues, SMT width, run tier and cycle budget, with a
+/// memory sized for `layout` plus headroom.
+sim::MachineConfig MeasuredMachineConfig(const RunConfig& config,
+                                         const ir::DataLayout& layout,
+                                         int cores);
+
+/// A machine set up the way KernelRunner measures a program: `program` on
+/// `config`, memory loaded with `image`, core 0 started at the primary
+/// entry (a sequential program's entry too) and every other core at the
+/// driver entry.
+class MeasuredMachine : public sim::Machine {
+ public:
+  MeasuredMachine(const sim::MachineConfig& config, const isa::Program& program,
+                  const std::vector<std::uint64_t>& image);
 };
 
 struct KernelRun {
@@ -207,14 +236,9 @@ class KernelRunner {
   const ir::DataLayout& layout() const { return layout_; }
 
  private:
-  struct Prepared {
-    ir::ParamEnv params;
-    std::vector<std::uint64_t> image;  // initial memory incl. param block
-  };
   struct Workload;
   struct Memo;
-  Prepared Prepare(std::uint64_t seed) const;
-  std::vector<std::uint64_t> GoldenMemory(const Prepared& prepared) const;
+  std::vector<std::uint64_t> GoldenMemory(const PreparedWorkload& prepared) const;
   /// The memoized workload of `seed`, prepared on first use.  The caller
   /// holds the memo's mutex.
   Workload& WorkloadFor(std::uint64_t seed) const;
@@ -222,8 +246,6 @@ class KernelRunner {
   /// on first use.  The caller holds the memo's mutex.
   const analysis::ProfileData& ProfileFor(Workload& workload,
                                           const sim::CacheConfig& cache) const;
-  sim::MachineConfig MachineConfigFor(const RunConfig& config, int cores) const;
-  void LoadImage(sim::Machine& machine, const std::vector<std::uint64_t>& image) const;
   void CompareMemory(const sim::Machine& machine,
                      const std::vector<std::uint64_t>& golden,
                      const std::string& what) const;

@@ -9,9 +9,8 @@ using isa::Opcode;
 RunTier ParseRunTier(std::string_view name) {
   if (name == "auto") return RunTier::kAuto;
   if (name == "slow") return RunTier::kSlow;
-  if (name == "fast") return RunTier::kFast;
   throw Error("unknown run tier '" + std::string(name) +
-              "' (expected auto, slow, or fast)");
+              "' (expected auto or slow)");
 }
 
 int ResultLatency(const CoreTiming& t, Opcode op) {

@@ -16,23 +16,21 @@
 
 namespace fgpar::sim {
 
-/// Which run loop executes the program.  All tiers produce bit-identical
+/// Which run loop executes the program.  Both tiers produce bit-identical
 /// simulated cycles, memory, and statistics (tests/sim_golden_test.cpp);
 /// they differ only in host throughput and in which instrumentation hooks
 /// they can carry.
 ///
-///  * kAuto — the fast loop, which on a single-core machine also runs hot
-///            blocks as direct-threaded traces (sim/threaded.hpp).
+///  * kAuto — the fast loop (RunFast): it steps the laggard core first,
+///            lets queue-blocked cores sleep, and on a single-core machine
+///            runs hot blocks as direct-threaded traces (sim/threaded.hpp).
 ///  * kSlow — the instrumented reference loop (RunSlow).
-///  * kFast — the fast loop (RunFast / RunFastSingle), never the
-///            translator.  Multi-core machines run RunFast, which steps
-///            the laggard core first and lets queue-blocked cores sleep.
 ///
-/// A telemetry sink or SMT (threads_per_core > 1) routes any tier to the
-/// slow loop: only RunSlow carries the sink and the SMT slot arbitration.
-enum class RunTier : std::uint8_t { kAuto = 0, kSlow, kFast };
+/// A telemetry sink or SMT (threads_per_core > 1) routes kAuto to the slow
+/// loop: only RunSlow carries the sink and the SMT slot arbitration.
+enum class RunTier : std::uint8_t { kAuto = 0, kSlow };
 
-/// Parses "auto", "slow", or "fast"; throws fgpar::Error on any other name.
+/// Parses "auto" or "slow"; throws fgpar::Error on any other name.
 RunTier ParseRunTier(std::string_view name);
 
 /// Per-operation-class issue latencies (cycles until the result register is
@@ -96,9 +94,9 @@ struct MachineConfig {
   std::uint64_t max_cycles = 1ull << 40;
   /// Depth limit of the per-core call stack.
   int call_stack_limit = 64;
-  /// Pins the run loop to one tier (see RunTier); kSlow forces the
-  /// instrumented reference loop even when a faster tier is eligible.
-  /// Results are bit-identical across tiers, so this knob exists for the
+  /// Pins the run loop (see RunTier); kSlow forces the instrumented
+  /// reference loop even when the fast loop is eligible.  Results are
+  /// bit-identical across tiers, so this knob exists for the
   /// tier-equivalence tests and the tier microbenchmarks, not for
   /// correctness, and is excluded from the snapshot identity hash.  A
   /// telemetry sink or threads_per_core > 1 always overrides it toward

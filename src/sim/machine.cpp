@@ -8,6 +8,10 @@
 namespace fgpar::sim {
 
 namespace {
+
+/// The cycle of an event that never comes: no next event, no queue stall.
+constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+
 int PhysicalCoreCount(const MachineConfig& config) {
   FGPAR_CHECK(config.threads_per_core >= 1);
   return (config.num_cores + config.threads_per_core - 1) / config.threads_per_core;
@@ -93,14 +97,10 @@ RunResult Machine::Run() {
     open_stall_cause_.assign(cores_.size(), telemetry::StallCause::kNone);
     open_stall_begin_.assign(cores_.size(), 0);
   }
-  const RunTier tier = resolved_tier();
-  if (tier == RunTier::kSlow) {
+  if (resolved_tier() == RunTier::kSlow) {
     return RunSlow();
   }
-  if (config_.num_cores > 1) {
-    return RunFast();
-  }
-  return RunFastSingle(/*traced=*/tier == RunTier::kAuto);
+  return config_.num_cores == 1 ? RunFast<true>() : RunFast<false>();
 }
 
 RunTier Machine::resolved_tier() const {
@@ -130,7 +130,6 @@ void Machine::StopAtCycleLimit() {
 }
 
 RunResult Machine::RunSlow() {
-  constexpr std::uint64_t kNoEvent = std::numeric_limits<std::uint64_t>::max();
   int running = RunningCores();
 
   // Each core's outcome in the current cycle.  Cleared once per Run, not
@@ -207,7 +206,7 @@ RunResult Machine::RunSlow() {
       continue;
     }
     // No core issued: fast-forward to the next event.
-    std::uint64_t next_event = kNoEvent;
+    std::uint64_t next_event = kNever;
     for (std::size_t c = 0; c < cores_.size(); ++c) {
       const Core& core = cores_[c];
       if (!core.started() || core.halted()) {
@@ -235,7 +234,7 @@ RunResult Machine::RunSlow() {
       // of their own.
     }
 
-    if (next_event == kNoEvent) {
+    if (next_event == kNever) {
       TelemetryCloseStalls();  // the terminal stall must appear in traces
       throw DeadlockError(BuildStallReport());
     }
@@ -258,21 +257,27 @@ RunResult Machine::RunSlow() {
   return FinishResult();
 }
 
+template <bool kTraced>
 RunResult Machine::RunFast() {
-  // Laggard-first event loop for multi-core machines without SMT.  It
-  // always steps the core whose next evaluation is earliest in (cycle, core
-  // index) order, and keeps stepping it while it stays earliest, so
-  // Core::Step runs in exactly RunSlow's order: core order within a cycle.
-  // RunSlow also re-evaluates a queue-blocked core every cycle, but such a
-  // core is frozen until its partner moves the queue: its pc is unchanged,
-  // its operands were ready when it stalled, and only the partner can fill
-  // or drain that queue.  So here a blocked core sleeps until the partner's
-  // enqueue or dequeue wakes it, and is then charged the cycles it slept,
-  // one for each evaluation RunSlow would have found it stalled.  Memory,
-  // caches, queues, every counter and Snapshot() therefore match RunSlow at
-  // every point of a run: where it completes, deadlocks, stops at
-  // max_cycles or throws a machine check.
-  constexpr std::uint64_t kNever = std::numeric_limits<std::uint64_t>::max();
+  // Laggard-first event loop.  It always steps the core whose next
+  // evaluation is earliest in (cycle, core index) order, and keeps stepping
+  // it while it stays earliest, so Core::Step runs in exactly RunSlow's
+  // order: core order within a cycle.  RunSlow also re-evaluates a
+  // queue-blocked core every cycle, but such a core is frozen until its
+  // partner moves the queue: its pc is unchanged, its operands were ready
+  // when it stalled, and only the partner can fill or drain that queue.  So
+  // here a blocked core sleeps until the partner's enqueue or dequeue wakes
+  // it, and is then charged the cycles it slept, one for each evaluation
+  // RunSlow would have found it stalled.  Memory, caches, queues, every
+  // counter and Snapshot() therefore match RunSlow at every point of a run:
+  // where it completes, deadlocks, stops at max_cycles or throws a machine
+  // check.
+  //
+  // kTraced (a single-core machine) also runs a compiled trace wherever an
+  // evaluation finds one anchored at pc, and counts the control transfers
+  // that make blocks hot.  A trace exit always lands on a state the
+  // interpreted loop could itself have reached (sim/threaded.cpp), so any
+  // mix of traced and interpreted steps is bit-identical to RunSlow.
   struct Lane {
     std::uint64_t next = kNever;   // cycle of the next evaluation
     std::uint64_t since = kNever;  // first cycle of the current queue stall
@@ -281,6 +286,11 @@ RunResult Machine::RunFast() {
     bool fp = false;               // ... on the fp queue
     bool full = false;             // stalled enqueuing (else dequeuing)
   };
+  if constexpr (kTraced) {
+    if (!threaded_) {
+      threaded_ = std::make_unique<ThreadedCache>(decoded_, &threaded_stats_);
+    }
+  }
   const std::uint64_t limit = config_.max_cycles;
   const std::uint64_t start = now_;
   std::vector<Lane> lanes(cores_.size());
@@ -339,6 +349,45 @@ RunResult Machine::RunFast() {
         if (lane.since != kNever) {
           charge(m, t);  // woken: the op it stalled on issues now
         }
+        if constexpr (kTraced) {
+          ThreadedTrace* const trace = threaded_->TraceAt(core.pc());
+          if (trace != nullptr) {
+            ++threaded_stats_.trace_enters;
+            std::uint64_t clock = t;
+            const TraceRun run =
+                ThreadedExec::Run(core, *trace, clock, limit, threaded_stats_);
+            if (run.executed > 0) {
+              prior = last;
+              last = clock - 1;  // the trace's last issue
+              issued = true;
+            }
+            if (run.exit == TraceRun::Exit::kHalt) {
+              --running;
+              if (!core0_halt_recorded_) {
+                core0_halt_recorded_ = true;
+                core0_halt_cycle_ = last;
+              }
+              lane.next = kNever;
+              break;
+            }
+            t = std::max(clock, core.next_issue_cycle());
+            if (run.exit == TraceRun::Exit::kBranch) {
+              // A taken branch left the trace: its target may be (or
+              // become) another trace head.
+              threaded_->NoteControlTransfer(core.pc());
+              if (t < limit) {
+                continue;
+              }
+            }
+            if (t >= limit) {
+              lane.next = t;
+              break;
+            }
+            // Deopt: pc is on an op the trace did not issue.  The
+            // interpreted step below re-derives the precise max_cycles and
+            // divide-trap ordering.
+          }
+        }
         const std::int64_t pc = core.pc();
         const StepOutcome outcome = core.Step(t, decoded_, memory_, queues_);
         std::uint64_t next = kNever;
@@ -356,6 +405,11 @@ RunResult Machine::RunFast() {
             }
           } else {
             next = std::max(t + 1, core.next_issue_cycle());
+            if constexpr (kTraced) {
+              if (core.pc() != pc + 1) {
+                threaded_->NoteControlTransfer(core.pc());
+              }
+            }
           }
           const DecodedInstruction* op = blocked != 0 ? &decoded_.at(pc) : nullptr;
           if (op != nullptr && (op->is_enqueue || op->is_dequeue)) {
@@ -446,92 +500,6 @@ RunResult Machine::RunFast() {
     throw DeadlockError(BuildStallReport());
   }
   StopAtCycleLimit();
-}
-
-RunResult Machine::RunFastSingle(bool traced) {
-  // Single-core specialization of the fast path.  A hardware queue needs
-  // two distinct cores (QueueMatrix rejects self-queues), so on one core a
-  // step can only issue or wait on its own pipeline — no SMT arbitration,
-  // no queue-stall bookkeeping, no fast-forward event scan.  The loop jumps
-  // straight to next_issue_cycle() instead of polling intermediate cycles.
-  // This makes exactly the reference loop's Step calls: the reference
-  // steps once right after the previous issue (where Step either issues,
-  // or accrues stall_raw and publishes the true next_issue_cycle) and then
-  // fast-forwards to that same cycle; in between it finds the issue stage
-  // busy and steps nothing.  Cycle counts and statistics are therefore
-  // bit-identical (tests/sim_golden_test.cpp).
-  //
-  // The jump is clamped at max_cycles, so a run that cannot issue before
-  // the limit stops exactly there, as the reference loop's fast-forward
-  // does.
-  //
-  // When `traced`, every iteration either executes a compiled trace
-  // anchored at pc or takes one interpreted step, which also counts
-  // control transfers (the translation trigger).  Trace exits always land
-  // on a state this loop could itself have been in at this boundary
-  // (sim/threaded.cpp), so any mix of traced and interpreted execution is
-  // bit-identical to the untraced loop.
-  if (traced && !threaded_) {
-    threaded_ = std::make_unique<ThreadedCache>(decoded_, &threaded_stats_);
-  }
-  ThreadedCache* const tc = traced ? threaded_.get() : nullptr;
-  Core& core = cores_.front();
-
-  while (core.started() && !core.halted()) {
-    if (tc != nullptr) {
-      ThreadedTrace* trace = tc->TraceAt(core.pc());
-      if (trace != nullptr) {
-        ++threaded_stats_.trace_enters;
-        const TraceRun run =
-            ThreadedExec::Run(core, *trace, now_, config_.max_cycles,
-                              last_issue_cycle_, threaded_stats_);
-        switch (run.exit) {
-          case TraceRun::Exit::kHalt:
-            if (!core0_halt_recorded_) {
-              core0_halt_recorded_ = true;
-              core0_halt_cycle_ = last_issue_cycle_;
-            }
-            continue;  // loop condition ends the run
-          case TraceRun::Exit::kBranch:
-            // A taken branch left the trace: its target may be (or become)
-            // another trace head.
-            tc->NoteControlTransfer(core.pc());
-            continue;
-          case TraceRun::Exit::kDeopt:
-            // pc is on an op the trace did not issue: an untranslatable op,
-            // or one that could reach max_cycles or trap.  The interpreted
-            // step below re-derives the precise max_cycles / divide-trap
-            // ordering and always makes progress.
-            break;
-        }
-      }
-    }
-
-    const std::uint64_t next = core.next_issue_cycle();
-    if (next > now_) {
-      now_ = std::min(next, config_.max_cycles);
-    }
-    if (now_ >= config_.max_cycles) {
-      StopAtCycleLimit();
-    }
-    const std::int64_t pc_before = core.pc();
-    if (core.Step(now_, decoded_, memory_, queues_) == StepOutcome::kIssued) {
-      if (core.halted()) {
-        if (!core0_halt_recorded_) {
-          core0_halt_recorded_ = true;
-          core0_halt_cycle_ = now_;
-        }
-      } else if (tc != nullptr && core.pc() != pc_before + 1) {
-        tc->NoteControlTransfer(core.pc());
-      }
-      last_issue_cycle_ = now_;
-      ++now_;
-    }
-    // Otherwise kPipelineBusy with a strictly future next_issue_cycle; queue
-    // stalls are unreachable on one core, so the next iteration advances.
-  }
-
-  return FinishResult();
 }
 
 void Machine::TelemetryStall(std::size_t core_index,

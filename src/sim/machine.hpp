@@ -106,20 +106,18 @@ class Machine {
   /// deadlock, CycleBudgetError at MachineConfig::max_cycles, and Error on
   /// a machine check.
   ///
-  /// Three run tiers exist behind this call (docs/INTERNALS.md §12).  All
-  /// of them issue through Core::Step against the DecodedProgram the
-  /// constructor built.  The *fast tier* steps only the core whose next
-  /// evaluation is earliest and lets queue-blocked cores sleep until their
-  /// partner wakes them.  The *auto tier* (the default when no telemetry
-  /// sink is installed) is the fast tier plus, on a single-core machine,
-  /// the direct-threaded block translator (sim/threaded.hpp), which
-  /// compiles hot basic blocks into computed-goto traces.  The *slow tier*
-  /// is the reference implementation: it polls every core every cycle and
-  /// carries the telemetry sink and SMT slot arbitration; it is used iff a
+  /// Two run loops exist behind this call (docs/INTERNALS.md §12).  Both
+  /// issue through Core::Step against the DecodedProgram the constructor
+  /// built.  The *fast loop* (the auto tier, the default when no telemetry
+  /// sink is installed) steps only the core whose next evaluation is
+  /// earliest and lets queue-blocked cores sleep until their partner wakes
+  /// them; on a single-core machine it also runs hot basic blocks as
+  /// direct-threaded traces (sim/threaded.hpp).  The *slow loop* is the
+  /// reference implementation: it polls every core every cycle and carries
+  /// the telemetry sink and SMT slot arbitration; it is used iff a
   /// telemetry sink is installed, threads_per_core > 1, or
-  /// MachineConfig::force_tier is kSlow.  force_tier pins the choice for
-  /// equivalence tests and benchmarks.  Simulated cycle counts, memory,
-  /// per-core statistics and Snapshot() are bit-identical across all tiers
+  /// MachineConfig::force_tier is kSlow.  Simulated cycle counts, memory,
+  /// per-core statistics and Snapshot() are bit-identical across both
   /// wherever a run ends: completion, deadlock, max_cycles or a machine
   /// check (tests/sim_golden_test.cpp, tests/sim_threaded_test.cpp).
   RunResult Run();
@@ -161,8 +159,8 @@ class Machine {
   /// installed or threads_per_core > 1, otherwise MachineConfig::force_tier.
   RunTier resolved_tier() const;
 
-  /// Translator/executor observability for the auto tier's traces.  Derived
-  /// diagnostic state: excluded from Snapshot.
+  /// Translator/executor observability for the fast loop's traces.
+  /// Derived diagnostic state: excluded from Snapshot.
   const ThreadedStats& threaded_stats() const { return threaded_stats_; }
 
   std::uint64_t now() const { return now_; }
@@ -181,20 +179,17 @@ class Machine {
   /// the DeadlockError both run loops throw.
   StallReport BuildStallReport() const;
 
-  /// Fast run loop for multi-core machines without SMT, laggard first: it
-  /// steps the core whose next evaluation is earliest in (cycle, core
-  /// index) order, while it stays earliest, and a queue-blocked core sleeps
-  /// until its partner's enqueue or dequeue wakes it.  Core::Step runs in
-  /// RunSlow's order, so state matches RunSlow at every point of a run.
+  /// Fast run loop for machines without SMT, laggard first: it steps the
+  /// core whose next evaluation is earliest in (cycle, core index) order,
+  /// while it stays earliest, and a queue-blocked core sleeps until its
+  /// partner's enqueue or dequeue wakes it.  Core::Step runs in RunSlow's
+  /// order, so state matches RunSlow at every point of a run.  kTraced is
+  /// set on a single-core machine only: it also runs hot blocks as
+  /// direct-threaded traces (sim/threaded.hpp).  A trace runs its core
+  /// many cycles ahead, past any other core's evaluations, so multi-core
+  /// machines never enter one.
+  template <bool kTraced>
   RunResult RunFast();
-  /// Single-core fast loop: no SMT arbitration, no queue stalls (a 1-core
-  /// machine has no queues), so the loop is just issue /
-  /// jump-to-next-issue-cycle.  With `traced` it also runs hot blocks as
-  /// direct-threaded traces (sim/threaded.hpp).  Traces stay single-core:
-  /// lockstep SMT arbitration and shared cache/queue timing make
-  /// cross-core trace execution unsound for bit-identity.  Bit-identical
-  /// to RunSlow either way.
-  RunResult RunFastSingle(bool traced);
   /// Reference run loop: steps every running core whose issue stage is
   /// free, every cycle, and advances one cycle at a time while a value is
   /// in flight; carries the telemetry sink and SMT slot arbitration.
@@ -240,7 +235,7 @@ class Machine {
   telemetry::TelemetrySink* telemetry_ = nullptr;
   std::vector<telemetry::StallCause> open_stall_cause_;
   std::vector<std::uint64_t> open_stall_begin_;
-  /// Trace cache; built on the first auto-tier Run of a single-core
+  /// Trace cache; built on the first fast-loop Run of a single-core
   /// machine.  Derived state, never serialized.
   std::unique_ptr<ThreadedCache> threaded_;
   ThreadedStats threaded_stats_;

@@ -17,11 +17,11 @@
 // The boundary guard is what keeps every edge case bit-identical: `limit`
 // is max_cycles, and an op that *might* cross it is not executed in the
 // trace at all — the trace exits with the pre-op machine state, which by
-// construction equals a RunFastSingle loop boundary, and the interpreter
-// re-runs the op with the reference ordering of max_cycles checks and
-// divide traps.  Divide ops reuse the same
-// exit for their trap conditions, so the interpreter's FGPAR_CHECK raises
-// the identical error from the identical state.
+// construction is a state the interpreted fast loop could itself have
+// reached, and the interpreter re-runs the op with the reference ordering
+// of max_cycles checks and divide traps.  Divide ops reuse the same exit
+// for their trap conditions, so the interpreter's FGPAR_CHECK raises the
+// identical error from the identical state.
 
 #include "sim/threaded.hpp"
 
@@ -98,8 +98,7 @@ ThreadedStats& ThreadedStats::operator+=(const ThreadedStats& o) {
   (std::max(fready[op->dst], std::max(fready[op->src1], fready[op->src2])))
 
 TraceRun ThreadedExec::Run(Core& core, ThreadedTrace& trace, std::uint64_t& now,
-                           std::uint64_t limit, std::uint64_t& last_issue,
-                           ThreadedStats& stats) {
+                           std::uint64_t limit, ThreadedStats& stats) {
   // One label address per TraceOpKind, in enum order.
   static const void* const kHandlers[kNumTraceOpKinds] = {
       &&t_AddI, &&t_SubI, &&t_MulI, &&t_DivI, &&t_RemI, &&t_AndI, &&t_OrI,
@@ -149,21 +148,23 @@ t_MulI:
                                           static_cast<std::uint64_t>(gpr[op->src2])));
   FGPAR_T_RETIRE(1);
 t_DivI:
-  FGPAR_T_ISSUE(FGPAR_T_RG2);
-  // Trap conditions deopt pre-op: the interpreter re-executes and raises
-  // the reference FGPAR_CHECK error from the identical machine state.
+  // Trap conditions deopt pre-op, before the issue prologue charges any
+  // RAW wait: the interpreter re-executes, charges that wait itself and
+  // raises the reference FGPAR_CHECK error from the identical machine
+  // state.
   if (gpr[op->src2] == 0 ||
       (gpr[op->src1] == INT64_MIN && gpr[op->src2] == -1)) {
     goto exit_boundary;
   }
+  FGPAR_T_ISSUE(FGPAR_T_RG2);
   FGPAR_T_SET_G(gpr[op->src1] / gpr[op->src2]);
   FGPAR_T_RETIRE(op->busy);
 t_RemI:
-  FGPAR_T_ISSUE(FGPAR_T_RG2);
   if (gpr[op->src2] == 0 ||
       (gpr[op->src1] == INT64_MIN && gpr[op->src2] == -1)) {
     goto exit_boundary;
   }
+  FGPAR_T_ISSUE(FGPAR_T_RG2);
   FGPAR_T_SET_G(gpr[op->src1] % gpr[op->src2]);
   FGPAR_T_RETIRE(op->busy);
 t_AndI:
@@ -364,9 +365,6 @@ writeback:
   core.stats_.instructions += executed;
   core.stats_.stall_raw += stall;
   now = t_now;
-  if (executed > 0) {
-    last_issue = t_now - 1;  // every issue sets t_now = issue cycle + 1
-  }
   ++stats.trace_exits;
   stats.threaded_instructions += executed;
   result.executed = executed;

@@ -1,12 +1,12 @@
-// Direct-threaded traces for the simulator's single-core fast loop
-// (RunTier::kAuto).
+// Direct-threaded traces for the simulator's fast loop on a single-core
+// machine (Machine::RunFast, RunTier::kAuto).
 //
 // Once a control-transfer target has been reached kHotThreshold times, the
 // ThreadedCache translates the basic block starting there into one or more
 // *traces*: flat arrays of pre-resolved computed-goto handlers with all
 // operands baked in at translate time — register indices, immediates,
 // result-latency constants, and issue-stage occupancies all come from the
-// DecodedProgram, so a trace can never disagree with the interpreted tiers
+// DecodedProgram, so a trace can never disagree with an interpreted step
 // on timing inputs.  ThreadedExec::Run then executes a trace without
 // re-entering the per-instruction dispatch switch, without the per-issue
 // pc bounds check, and without the per-op queue-classification tests: one
@@ -20,9 +20,9 @@
 // boundary ordering (max_cycles vs divide traps) — re-derives every edge
 // case itself.  Conservative per-op cycle guards (`issue cycle >=
 // max_cycles`) exit the same way, which is what makes a stop at the cycle
-// limit and error states bit-identical to the other tiers: a trace exit
-// always lands on a state RunFastSingle's loop could itself have been in
-// at its loop boundary.
+// limit and error states bit-identical to the reference loop: a trace
+// exit always lands on a state the interpreted fast loop could itself
+// have reached between two steps.
 //
 // Traces extend through not-taken conditional branches (superblocks) and
 // loop internally when a branch re-targets the trace head, so a hot inner
@@ -40,7 +40,7 @@ namespace fgpar::sim {
 
 class Core;
 
-/// Why a trace handed control back to the interpreted tier.  kMemory,
+/// Why a trace handed control back to the interpreted loop.  kMemory,
 /// kQueue, kCallRet, and kCap are baked into kExit ops at translate time;
 /// kBoundary is the runtime cycle-limit / divide-trap guard.
 enum class TraceExitCause : std::uint8_t {
@@ -130,14 +130,13 @@ class ThreadedExec {
  public:
   /// Runs `trace` starting at its head with the machine clock at `now`.
   /// `limit` is max_cycles: any op whose issue cycle would reach it deopts
-  /// (cause kBoundary) *before* issuing, leaving a state identical to a
-  /// RunFastSingle loop boundary so the interpreter re-derives the precise
-  /// stop/throw ordering.  Updates now/last_issue and the core's
-  /// registers, scoreboards, pc, next-issue cycle, and stats in bulk at
-  /// exit.
+  /// (cause kBoundary) *before* issuing, leaving a state the interpreted
+  /// loop could itself have reached, so the interpreter re-derives the
+  /// precise stop/throw ordering.  Updates the core's registers,
+  /// scoreboards, pc, next-issue cycle, and stats in bulk at exit, and
+  /// moves `now` one past the last issue (when `executed` > 0).
   static TraceRun Run(Core& core, ThreadedTrace& trace, std::uint64_t& now,
-                      std::uint64_t limit, std::uint64_t& last_issue,
-                      ThreadedStats& stats);
+                      std::uint64_t limit, ThreadedStats& stats);
 };
 
 /// Per-machine trace cache: heat counters, the pc -> trace index, and the

@@ -24,10 +24,10 @@
 //
 // Zero overhead when off: every producer holds a nullable TelemetrySink*
 // and emits nothing when it is null.  In particular sim::Machine keeps its
-// fast-path eligibility rule — no sink installed ⇒ the fast tier's loops
-// (RunFastSingle on one core, the laggard-first RunFast on several),
-// bit-identical statistics (tests/telemetry_test.cpp measures the sink-off
-// delta; bench/micro_sim records it in BENCH_sim_throughput.json).
+// fast-path eligibility rule — no sink installed ⇒ the laggard-first fast
+// loop RunFast (with traces on one core), bit-identical statistics
+// (tests/telemetry_test.cpp measures the sink-off delta; bench/micro_sim
+// records it in BENCH_sim_throughput.json).
 //
 // Sinks (sinks.hpp): AggregatingSink (stats), ChromeTraceSink
 // (chrome://tracing / ui.perfetto.dev), StreamSink (re-stamps the stream

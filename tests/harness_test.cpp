@@ -335,10 +335,10 @@ TEST(RunnerMemo, SeedAndTierKeepTheirOwnEntries) {
   const KernelRun reseeded = memoized.Run(config);
   EXPECT_NE(reseeded.seq_cycles, first.seq_cycles);
   ExpectSameRun(reseeded, KernelRunner(kernel, init).Run(config));
-  config.force_tier = sim::RunTier::kFast;
-  const KernelRun fast = memoized.Run(config);
-  EXPECT_FALSE(fast.threaded_stats == reseeded.threaded_stats);
-  ExpectSameRun(fast, KernelRunner(kernel, init).Run(config));
+  config.force_tier = sim::RunTier::kSlow;
+  const KernelRun slow = memoized.Run(config);
+  EXPECT_FALSE(slow.threaded_stats == reseeded.threaded_stats);
+  ExpectSameRun(slow, KernelRunner(kernel, init).Run(config));
 }
 
 TEST(RunnerMemo, TelemetryRunStillSimulates) {

@@ -250,16 +250,10 @@ analysis::ProfileData SequoiaProfile(const kernels::SequoiaKernel& spec,
                                      const ir::Kernel& kernel) {
   const harness::RunConfig config;
   const ir::DataLayout layout(kernel, /*base=*/64);
-  ir::ParamEnv params(kernel);
-  std::vector<std::uint64_t> image(layout.end(), 0);
-  kernels::SequoiaInit(spec)(config.seed, kernel, layout, params, image);
-  params.CheckComplete(kernel);
-  for (const ir::Symbol& sym : kernel.symbols()) {
-    if (sym.kind == ir::SymbolKind::kParam) {
-      image[layout.ParamAddressOf(sym.id)] = params.GetRaw(sym.id);
-    }
-  }
-  return analysis::ProfileData::Collect(kernel, layout, params, image, config.cache);
+  const harness::PreparedWorkload workload(kernel, layout,
+                                           kernels::SequoiaInit(spec), config.seed);
+  return analysis::ProfileData::Collect(kernel, layout, workload.params,
+                                        workload.image, config.cache);
 }
 
 std::string RenderPartitions(const std::vector<MergedPartition>& parts) {

@@ -1,13 +1,13 @@
 // Direct-threaded trace tests (sim/threaded.hpp).
 //
-// The contract under test: traces, which the auto tier runs on single-core
+// The contract under test: traces, which the fast loop runs on single-core
 // machines, are an invisible accelerator.  Every observable — final cycle
 // count, per-core statistics, memory, snapshot bytes, error messages,
-// where a run stops at its cycle limit — must be bit-identical to the fast
-// and slow tiers; only the sim.threaded.* counters (and host wall time)
-// may differ.  These tests lock the deopt boundaries one by one: memory
-// ops, telemetry sinks, the cycle limit, and divide traps must each hand
-// control back to the reference loops without divergence.
+// where a run stops at its cycle limit — must be bit-identical to the slow
+// tier; only the sim.threaded.* counters (and host wall time) may differ.
+// These tests lock the deopt boundaries one by one: memory ops, telemetry
+// sinks, the cycle limit, and divide traps must each hand control back to
+// interpreted steps without divergence.
 //
 // Snapshots deliberately exclude force_tier from the identity hash, which
 // lets these tests compare machine states across tiers byte-for-byte.
@@ -92,24 +92,18 @@ class SingleMachine : public sim::Machine {
   }
 };
 
-/// Runs `program` single-core under each tier and requires bit-identical
+/// Runs `program` single-core under both tiers and requires bit-identical
 /// results and final snapshots (force_tier is excluded from the snapshot
 /// identity hash precisely so this comparison is legal).
 void CheckTierEquivalence(const isa::Program& program) {
   SingleMachine traced(program, sim::RunTier::kAuto);
-  SingleMachine fast(program, sim::RunTier::kFast);
   SingleMachine slow(program, sim::RunTier::kSlow);
   const sim::RunResult rt = traced.Run();
-  const sim::RunResult rf = fast.Run();
   const sim::RunResult rs = slow.Run();
-  EXPECT_EQ(rt.cycles, rf.cycles);
-  EXPECT_EQ(rt.core0_halt_cycle, rf.core0_halt_cycle);
-  EXPECT_EQ(rt.instructions, rf.instructions);
-  EXPECT_EQ(rf.cycles, rs.cycles);
-  EXPECT_EQ(rf.core0_halt_cycle, rs.core0_halt_cycle);
-  EXPECT_EQ(rf.instructions, rs.instructions);
-  EXPECT_EQ(traced.Snapshot(), fast.Snapshot());
-  EXPECT_EQ(fast.Snapshot(), slow.Snapshot());
+  EXPECT_EQ(rt.cycles, rs.cycles);
+  EXPECT_EQ(rt.core0_halt_cycle, rs.core0_halt_cycle);
+  EXPECT_EQ(rt.instructions, rs.instructions);
+  EXPECT_EQ(traced.Snapshot(), slow.Snapshot());
 }
 
 TEST(SimThreaded, HotAluLoopMatchesFastAndSlow) {
@@ -149,15 +143,14 @@ TEST(SimThreaded, ColdCodeIsNeverTranslated) {
 TEST(SimThreaded, PauseResumeMidHotLoopIsIdentical) {
   // A cycle limit halfway through the hot loop: the auto tier reaches it
   // inside a trace and must stop exactly there, with the error text and
-  // machine state of the fast and slow tiers.
+  // machine state of the slow tier.
   const isa::Program program = HotAluLoop(500);
   SingleMachine probe(program, sim::RunTier::kAuto);
   const std::uint64_t limit = probe.Run().cycles / 2;
 
   std::vector<std::string> errors;
   std::vector<std::vector<std::uint8_t>> snapshots;
-  for (const sim::RunTier tier :
-       {sim::RunTier::kAuto, sim::RunTier::kFast, sim::RunTier::kSlow}) {
+  for (const sim::RunTier tier : {sim::RunTier::kAuto, sim::RunTier::kSlow}) {
     SingleMachine m(program, tier, limit);
     try {
       m.Run();
@@ -169,11 +162,9 @@ TEST(SimThreaded, PauseResumeMidHotLoopIsIdentical) {
     EXPECT_EQ(m.threaded_stats().trace_enters > 0, tier == sim::RunTier::kAuto);
     snapshots.push_back(m.Snapshot());
   }
-  ASSERT_EQ(errors.size(), 3u);
+  ASSERT_EQ(errors.size(), 2u);
   EXPECT_EQ(errors[0], errors[1]);
-  EXPECT_EQ(errors[1], errors[2]);
-  EXPECT_TRUE(snapshots[0] == snapshots[1]) << "auto and fast stop states differ";
-  EXPECT_TRUE(snapshots[1] == snapshots[2]) << "fast and slow stop states differ";
+  EXPECT_TRUE(snapshots[0] == snapshots[1]) << "auto and slow stop states differ";
 }
 
 TEST(SimThreaded, TelemetrySinkForcesTheReferenceLoop) {
@@ -195,9 +186,9 @@ TEST(SimThreaded, TelemetrySinkForcesTheReferenceLoop) {
 }
 
 TEST(SimThreaded, DivideTrapInsideTraceMatchesReferenceError) {
-  // g3 counts down to 0 and is then used as a divisor: the trap fires
-  // inside a by-then-hot trace.  The trace must deopt pre-op so the
-  // interpreted step raises the exact reference error.
+  // g3 counts down to 0, and g5 = g3 * 1 is then used as a divisor: the
+  // trap fires inside a by-then-hot trace.  The trace must deopt pre-op so
+  // the interpreted step raises the exact reference error.
   isa::Assembler a;
   isa::Label main = a.NewNamedLabel("main");
   a.Bind(main);
@@ -207,26 +198,31 @@ TEST(SimThreaded, DivideTrapInsideTraceMatchesReferenceError) {
   isa::Label top = a.NewLabel();
   a.Bind(top);
   a.SubI(isa::Gpr{3}, isa::Gpr{3}, isa::Gpr{2});
-  a.DivI(isa::Gpr{4}, isa::Gpr{1}, isa::Gpr{3});
+  a.MulI(isa::Gpr{5}, isa::Gpr{3}, isa::Gpr{2});
+  a.DivI(isa::Gpr{4}, isa::Gpr{1}, isa::Gpr{5});
   a.SubI(isa::Gpr{1}, isa::Gpr{1}, isa::Gpr{2});
   a.Bnz(isa::Gpr{1}, top);
   a.Halt();
   const isa::Program program = a.Finish();
 
-  const auto error_of = [&](sim::RunTier tier) -> std::string {
+  // The trap must also leave the reference state: the divide waits on the
+  // multiply's result, and that RAW wait is charged once.
+  std::vector<std::string> errors;
+  std::vector<std::vector<std::uint8_t>> snapshots;
+  for (const sim::RunTier tier : {sim::RunTier::kAuto, sim::RunTier::kSlow}) {
     SingleMachine m(program, tier);
     try {
       m.Run();
+      ADD_FAILURE() << "divide by zero must throw";
     } catch (const Error& e) {
-      return e.what();
+      errors.push_back(e.what());
     }
-    return "";
-  };
-  const std::string traced = error_of(sim::RunTier::kAuto);
-  const std::string slow = error_of(sim::RunTier::kSlow);
-  ASSERT_NE(traced, "") << "divide by zero must throw under the auto tier";
-  EXPECT_EQ(traced, slow);
-  EXPECT_NE(traced.find("divide by zero"), std::string::npos);
+    snapshots.push_back(m.Snapshot());
+  }
+  ASSERT_EQ(errors.size(), 2u);
+  EXPECT_EQ(errors[0], errors[1]);
+  EXPECT_NE(errors[0].find("divide by zero"), std::string::npos);
+  EXPECT_TRUE(snapshots[0] == snapshots[1]) << "auto and slow trap states differ";
 }
 
 }  // namespace

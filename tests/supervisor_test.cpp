@@ -270,12 +270,12 @@ TEST(Supervisor, NonResumeRunRestartsAnExistingJournal) {
   SupervisorConfig config = BasicConfig("restart", 3);
   config.checkpoint_path = path;
   SweepSupervisor(config).Run(
-      [](const PointContext& ctx) { return std::string("old"); });
+      [](const PointContext&) { return std::string("old"); });
   // Without --resume the journal is rewritten from scratch: every point
   // recomputes and the file ends up holding the new payloads.
   std::atomic<int> runs{0};
   const SweepOutcome outcome = SweepSupervisor(config).Run(
-      [&](const PointContext& ctx) {
+      [&](const PointContext&) {
         ++runs;
         return std::string("new");
       });

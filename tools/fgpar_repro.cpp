@@ -25,7 +25,7 @@
 // failure reproduces, so "what was the machine doing when it died" is
 // inspectable at ui.perfetto.dev.  Tracing runs the parallel machine in
 // the slow loop, which stops at a cycle budget in the same state as the
-// fast tiers, so a traced replay reproduces whatever a plain one does.
+// fast loop, so a traced replay reproduces whatever a plain one does.
 #include <cstdio>
 #include <cstring>
 #include <string>

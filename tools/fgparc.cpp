@@ -32,7 +32,7 @@
 //   --trip N           value for every i64 parameter of a .fk file
 //                      (default 400; built-in kernels use their own)
 //   --seed N           workload RNG seed (default 0x5EED)
-//   --tier T           simulator run tier: auto|slow|fast
+//   --tier T           simulator run tier: auto|slow
 //                      (default auto; results are bit-identical per tier)
 //   --backend B        execution backend: sim|native (default sim).  native
 //                      additionally runs the kernel for real on host
