@@ -2,9 +2,11 @@
 // simulator, across the 18 Table-I kernels plus a generated fuzz corpus.
 //
 // For every kernel the bench computes the predicted 4-core speedup
-// (model::PredictKernel — rewrite front half + static merge, no
-// simulation) and the measured speedup (the verifying KernelRunner), then
-// reports Spearman rank correlation and mean relative error per corpus.
+// (KernelRunner::Predict, i.e. model::PredictKernelOnWorkload — rewrite
+// front half + static merge, costed against the prepared workload, no
+// simulation) and the measured speedup (KernelRunner::Run on the same
+// runner), then reports Spearman rank correlation and mean relative error
+// per corpus.
 // The predictor's job is candidate *ranking*, so rank correlation is the
 // headline number; the relative error says how honest the magnitudes are.
 //

@@ -5,16 +5,14 @@
 // Prints the rewritten (fiberized) kernel, the per-core partition, the
 // communication plan, and — after simulating — per-core cycle/stall
 // breakdowns.  Defaults to lammps-1 on 4 cores.  Everything shown is the
-// program KernelRunner measures (a profile-fed compile on the prepared
-// workload), run on the measured machine; the tool exits 1 if that
-// machine's core-0 halt cycle or instruction total differs from the
-// KernelRun's.
+// program KernelRunner measures (KernelRunner::Compile), run on the
+// measured machine; the tool exits 1 if that machine's core-0 halt cycle
+// or instruction total differs from the KernelRun's.
 #include <cstdio>
 #include <cstring>
 #include <string>
 
 #include "analysis/index.hpp"
-#include "analysis/profile.hpp"
 #include "compiler/compile.hpp"
 #include "harness/runner.hpp"
 #include "isa/disasm.hpp"
@@ -56,16 +54,11 @@ int main(int argc, char** argv) {
   const ir::Kernel& kernel = runner.kernel();
   const ir::DataLayout& layout = runner.layout();
 
-  // The program the runner measures: the compiler fed the original
-  // kernel's profile on the run's workload.
+  // The program the runner measures, and the memory its machine starts
+  // from.
+  const compiler::CompiledParallel compiled = runner.Compile(config);
   const harness::PreparedWorkload workload(kernel, layout,
                                            kernels::SequoiaInit(spec), config.seed);
-  const analysis::ProfileData profile = analysis::ProfileData::Collect(
-      kernel, layout, workload.params, workload.image, config.cache);
-  compiler::CompileOptions options = config.compile;
-  options.assumed_queue_capacity = config.queue.capacity;
-  const compiler::CompiledParallel compiled =
-      compiler::CompileParallel(kernel, layout, options, &profile);
 
   std::printf("--- rewritten kernel (after split/speculation/forwarding/"
               "fiberize) ---\n%s\n",
@@ -88,13 +81,13 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\n--- communication plan (%d loop transfers) ---\n",
-              compiled.comm.com_ops());
-  for (const compiler::Transfer& t : compiled.comm.transfers) {
+              compiled.plan.comm.com_ops());
+  for (const compiler::Transfer& t : compiled.plan.comm.transfers) {
     std::printf("  %s: core %d -> core %d (producer s%d, path depth %zu)\n",
                 compiled.partition.kernel.temp(t.temp).name.c_str(), t.src_core,
                 t.dst_core, t.producer_stmt, t.path.size());
   }
-  for (const compiler::LiveOut& lo : compiled.comm.live_outs) {
+  for (const compiler::LiveOut& lo : compiled.plan.comm.live_outs) {
     std::printf("  live-out %s: core %d -> core 0\n",
                 compiled.partition.kernel.temp(lo.temp).name.c_str(), lo.src_core);
   }

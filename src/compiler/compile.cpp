@@ -9,22 +9,19 @@ CompiledParallel CompileParallel(const ir::Kernel& kernel,
                                  const ir::DataLayout& layout,
                                  const CompileOptions& options,
                                  const analysis::ProfileData* profile,
-                                 const PartitionEvaluator* evaluator,
-                                 const PipelineInstrumentation* instrumentation,
-                                 const CostModel* cost_model) {
+                                 const CostModel* cost_model,
+                                 const PipelineInstrumentation* instrumentation) {
   CompileState state(kernel, &layout, options);  // copies; passes rewrite in place
   state.profile = profile;
-  state.evaluator = evaluator;
   state.cost_model = cost_model;
   BuildParallelPipeline(options).Run(state, instrumentation);
 
-  // Keep the whole plan (not just its comm half): the plan's items point
-  // into the partition's kernel, whose heap-allocated statement storage is
-  // stable under the moves below, so backends can re-lower the plan later.
+  // Keep the whole plan: its items point into the partition's kernel,
+  // whose heap-allocated statement storage is stable under the moves
+  // below, so backends can re-lower the plan later.
   CompiledParallel out{std::move(*state.program),
                        static_cast<int>(state.partition.partitions.size()),
                        std::move(state.partition),
-                       state.plan->comm,
                        std::move(*state.plan),
                        &layout,
                        std::move(state.candidate_reports)};

@@ -8,10 +8,6 @@
 // IR-mutating pass.
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <optional>
-
 #include "analysis/profile.hpp"
 #include "compiler/lowered.hpp"
 #include "compiler/options.hpp"
@@ -27,7 +23,6 @@ struct CompiledParallel {
   isa::Program program;
   int cores_used = 0;  // partitions produced (<= options.num_cores)
   PartitionResult partition;
-  CommPlan comm;
 
   /// The selected target-independent placement + communication plan.  Its
   /// PlanItems point into `partition`'s kernel, which moves with this
@@ -56,19 +51,16 @@ struct CompiledParallel {
 
 /// Full Section III pipeline: split -> (speculate) -> forward -> fiberize
 /// -> code graph -> merge -> communication plan -> pairing check -> lower.
-/// With an evaluator (or a pluggable cost model), every candidate
-/// partitioning (partition counts 2..num_cores, both merge shapes) is
-/// compiled and the best-scoring one is kept; without either, the static
-/// makespan objective chooses.  `cost_model` (cost_model.hpp) overrides
-/// the evaluator-backed simulate-to-score tier when both are given.
-/// (PartitionEvaluator is declared in pass.hpp.)
+/// With a `cost_model` (cost_model.hpp), every candidate partitioning
+/// (partition counts 2..num_cores, both merge shapes) is compiled and the
+/// best-scoring one is kept; without one, the static makespan objective
+/// chooses.
 CompiledParallel CompileParallel(
     const ir::Kernel& kernel, const ir::DataLayout& layout,
     const CompileOptions& options,
     const analysis::ProfileData* profile = nullptr,
-    const PartitionEvaluator* evaluator = nullptr,
-    const PipelineInstrumentation* instrumentation = nullptr,
-    const CostModel* cost_model = nullptr);
+    const CostModel* cost_model = nullptr,
+    const PipelineInstrumentation* instrumentation = nullptr);
 
 /// Baseline: the same scalar pipeline (split + forwarding, no fiberize or
 /// partitioning) compiled for a single core.

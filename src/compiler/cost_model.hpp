@@ -1,23 +1,21 @@
-// The pluggable cost-model seam for the multi-version select stage.
+// The select stage's candidate scorer (paper Section III-I.1's
+// multi-version compilation).
 //
-// Historically the select stage (pass.cpp) hard-wired candidate scoring to
-// full simulation: each built candidate was run on a training workload via
-// the PartitionEvaluator and the lowest cycle count won.  CostModel
-// abstracts "score one fully built candidate" so other evaluation tiers —
-// notably the analytical latency-hiding predictor (src/model/analytic.*) —
-// plug into the same selection loop:
+// CostModel is the one way to score a fully built candidate partitioning;
+// CompileParallel takes one, and without one the static makespan
+// objective picks the single merged candidate.  Two models exist:
 //
-//   * SimulateCostModel wraps the PartitionEvaluator.  Selection through it
-//     is byte-identical to the historical loop: the score is the exact
-//     measured cycle count (integers below 2^53 are exact in a double, and
-//     the loop keeps the strict-less-than / first-wins tie semantics).
+//   * harness::KernelRunner's training simulations ("simulate"): each
+//     candidate runs on the training workload, and its score is the exact
+//     measured cycle count (integers below 2^53 are exact in a double).
 //   * model::AnalyticModel scores candidates from static features alone —
 //     no simulation — which is what makes autotuning over large config
 //     spaces feasible (predict everything, simulate only the frontier).
 //
-// A model returns a ScoredCandidate: the comparable cost plus the
-// explanation record (`fgparc --explain-select`) — one human-readable
-// line and the named feature values the score was computed from.
+// The select loop keeps the lowest score, the first on ties.  A model
+// returns a ScoredCandidate: the comparable cost plus the explanation
+// record (`fgparc --explain-select`) — one human-readable line and the
+// named feature values the score was computed from.
 #pragma once
 
 #include <string>
@@ -55,23 +53,6 @@ class CostModel {
                                 const isa::Program& program,
                                 const ProgramPlan& plan,
                                 const CoreAssignment& assignment) const = 0;
-};
-
-/// The simulate-to-score tier: measures each candidate through the
-/// evaluator (non-owning; must outlive the model).  Byte-identical
-/// selection to the historical evaluator loop.
-class SimulateCostModel final : public CostModel {
- public:
-  explicit SimulateCostModel(const PartitionEvaluator& evaluator)
-      : evaluator_(&evaluator) {}
-
-  std::string_view name() const override { return "simulate"; }
-  ScoredCandidate Score(const CompileState& state, const isa::Program& program,
-                        const ProgramPlan& plan,
-                        const CoreAssignment& assignment) const override;
-
- private:
-  const PartitionEvaluator* evaluator_;
 };
 
 }  // namespace fgpar::compiler

@@ -29,9 +29,9 @@ struct CompileOptions {
   /// Hardware queue capacity (slots) assumed by the static capacity-
   /// deadlock checker (check.cpp): plans whose per-iteration queue traffic
   /// can reach a cyclic wait across full queues at this capacity are
-  /// rejected at compile time instead of wedging the machine.  The harness
-  /// keeps this in sync with the actual QueueConfig::capacity.  <= 0
-  /// disables the check (unlimited capacity).
+  /// rejected at compile time instead of wedging the machine.
+  /// KernelRunner::Compile sets it to the QueueConfig::capacity the code
+  /// runs on.  <= 0 disables the check (unlimited capacity).
   int assumed_queue_capacity = 20;
 
   /// Transfer latency (cycles) the partitioner *assumes* when weighing

@@ -51,10 +51,10 @@ class GraphPass final : public Pass {
   }
 };
 
-/// Merges the code graph into candidate partitionings.  With an evaluator
-/// or a pluggable cost model the full Section III-I.1 candidate set is
-/// enumerated for per-candidate scoring; without either, the static
-/// heuristics produce the single best merge.
+/// Merges the code graph into candidate partitionings.  With a cost model
+/// the full Section III-I.1 candidate set is enumerated for per-candidate
+/// scoring; without one, the static heuristics produce the single best
+/// merge.
 class MergePass final : public Pass {
  public:
   const char* name() const override { return "merge"; }
@@ -66,7 +66,7 @@ class MergePass final : public Pass {
     FGPAR_CHECK_MSG(state.graph.has_value(),
                     "merge stage requires the graph stage");
     state.candidates =
-        state.evaluator != nullptr || state.cost_model != nullptr
+        state.cost_model != nullptr
             ? EnumerateCandidates(*state.graph, state.options)
             : std::vector<std::vector<MergedPartition>>{
                   MergeGraph(*state.graph, state.options)};
@@ -81,12 +81,10 @@ class MergePass final : public Pass {
 
 /// The multi-version candidate loop (Section III-I.1): every candidate
 /// partitioning is assigned to cores, communication-planned, proven
-/// pairable and capacity-deadlock-free, and lowered; the active cost
-/// model (the pluggable state.cost_model, or the simulate-to-score model
-/// wrapping the evaluator) scores each built program and the best one
-/// wins.  Only the per-candidate mapping state (CoreAssignment) is
-/// materialized — the kernel and its index are shared read-only across
-/// all candidates.
+/// pairable and capacity-deadlock-free, and lowered; state.cost_model
+/// scores each built program and the best one wins.  Only the per-candidate
+/// mapping state (CoreAssignment) is materialized — the kernel and its
+/// index are shared read-only across all candidates.
 class SelectPass final : public Pass {
  public:
   const char* name() const override { return "select"; }
@@ -102,15 +100,8 @@ class SelectPass final : public Pass {
     const analysis::KernelIndex& index = *state.index;
     const ir::Kernel& kernel = state.kernel();
 
-    // The active cost model: the pluggable one, else the simulate-to-score
-    // wrapper around the evaluator (byte-identical to the historical
-    // evaluator loop), else none (single static candidate; first wins).
-    std::optional<SimulateCostModel> simulate;
+    // Without a cost model there is one static candidate; first wins.
     const CostModel* model = state.cost_model;
-    if (model == nullptr && state.evaluator != nullptr) {
-      simulate.emplace(*state.evaluator);
-      model = &*simulate;
-    }
     const std::string model_name =
         model != nullptr ? std::string(model->name()) : "none";
 
@@ -122,7 +113,6 @@ class SelectPass final : public Pass {
       std::size_t index = 0;
     };
     std::optional<Built> best;
-    state.rejected_candidates.clear();
     state.candidate_reports.clear();
     int built_count = 0;
     for (std::size_t i = 0; i < state.candidates.size(); ++i) {
@@ -154,26 +144,24 @@ class SelectPass final : public Pass {
           best = std::move(built);
         }
       } catch (const Error& e) {
-        // Candidate rejected (pairing/capacity/lowering); try the next one
-        // and keep the diagnostic for the aggregate error and --compile-stats.
-        state.rejected_candidates.push_back(
-            "candidate " + std::to_string(i + 1) + "/" +
-            std::to_string(state.candidates.size()) + " (" +
-            std::to_string(state.candidates[i].size()) +
-            " partitions): " + e.what());
+        // Candidate rejected (pairing/capacity/lowering/scoring); try the
+        // next one and keep the reason for the aggregate error.
         report.detail = e.what();
       }
       state.candidate_reports.push_back(std::move(report));
     }
+    const std::size_t count = state.candidates.size();
     state.Note("candidates_built", built_count);
     state.Note("candidates_rejected",
-               static_cast<std::int64_t>(state.rejected_candidates.size()));
+               static_cast<std::int64_t>(count) - built_count);
     if (!best.has_value()) {
-      std::string message =
-          "no candidate partitioning compiled successfully (" +
-          std::to_string(state.candidates.size()) + " candidates)";
-      for (const std::string& reason : state.rejected_candidates) {
-        message += "\n  " + reason;
+      std::string message = "no candidate partitioning compiled successfully (" +
+                            std::to_string(count) + " candidates)";
+      for (const CandidateReport& report : state.candidate_reports) {
+        message += "\n  candidate " + std::to_string(report.index + 1) + "/" +
+                   std::to_string(count) + " (" +
+                   std::to_string(report.partitions) +
+                   " partitions): " + report.detail;
       }
       throw Error(message);
     }
@@ -181,15 +169,9 @@ class SelectPass final : public Pass {
     state.Note("partitions",
                static_cast<std::int64_t>(best->assignment.partitions.size()));
     state.Note("com_ops", best->plan.comm.com_ops());
-    if (simulate.has_value()) {
-      // Historical counter: exact cycles measured for the winner.  The
-      // simulate model's cost is the measured count verbatim (integers are
-      // exact in a double far beyond any cycle count the trainer produces).
-      state.Note("best_measured_cycles",
-                 static_cast<std::int64_t>(std::llround(best->cost)));
-    } else if (model != nullptr) {
-      // Pluggable models score in fractional cycles; keep the counter
-      // integral (milli-cycles) so --compile-stats stays integer-valued.
+    if (model != nullptr) {
+      // Models may score in fractional cycles; keep the counter integral
+      // (milli-cycles) so --compile-stats stays integer-valued.
       state.Note("best_model_cost_milli",
                  static_cast<std::int64_t>(std::llround(best->cost * 1000.0)));
     }

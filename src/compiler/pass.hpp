@@ -44,16 +44,7 @@ struct ProfileData;
 
 namespace fgpar::compiler {
 
-/// Dynamic-feedback hook for multi-version compilation (paper Section
-/// III-I.1: "the compiler can generate multiple code versions for regions
-/// with potential, and rely on a runtime system with dynamic feedback to
-/// decide which code version to execute").  Given a compiled candidate and
-/// the number of cores it uses, returns its measured cost (lower is
-/// better), e.g. simulated cycles on a training workload.
-using PartitionEvaluator =
-    std::function<std::uint64_t(const isa::Program& program, int cores_used)>;
-
-class CostModel;  // cost_model.hpp: pluggable select-stage scoring
+class CostModel;  // cost_model.hpp: the select stage's candidate scorer
 
 /// What the select stage recorded about one candidate partitioning: every
 /// candidate — built or rejected — gets a report carrying its cost-model
@@ -85,10 +76,9 @@ struct CompileState {
   const ir::DataLayout* layout = nullptr;
   CompileOptions options;
   const analysis::ProfileData* profile = nullptr;   // may be null
-  const PartitionEvaluator* evaluator = nullptr;    // may be null
-  /// Pluggable candidate scorer for the select stage (may be null).  When
-  /// null and an evaluator is present, select wraps the evaluator in the
-  /// simulate-to-score model — byte-identical to the historical loop.
+  /// The select stage's candidate scorer (paper Section III-I.1's
+  /// multi-version compilation).  Null: the static objective picks the one
+  /// merged candidate.
   const CostModel* cost_model = nullptr;
 
   // ---- the kernel being rewritten, plus Table III bookkeeping ----
@@ -108,10 +98,9 @@ struct CompileState {
   // ---- selection outputs (filled by the select / lower stages) ----
   std::optional<ProgramPlan> plan;      // chosen candidate's plan (parallel)
   std::optional<isa::Program> program;  // final machine code
-  /// Diagnostics for every candidate the select stage rejected.
-  std::vector<std::string> rejected_candidates;
   /// Structured per-candidate records (built and rejected alike), in
-  /// enumeration order, each with its cost-model attribution.
+  /// enumeration order, each with its cost-model attribution or its
+  /// rejection reason.
   std::vector<CandidateReport> candidate_reports;
 
   /// Per-pass deterministic counters; a pass calls Note() to report what it

@@ -147,7 +147,8 @@ class PlanBuilder {
 
   /// Inserts dequeues in each block at the producer path, per source core
   /// and register class, in producer emission order at the suffix minimum
-  /// of first-use positions.
+  /// of first-use positions, each no later than a replicated if that
+  /// dequeues a later-produced value from the same queue.
   void InsertDequeues(std::vector<PlanItem>& items, const ControlPath& path) {
     // Recurse into replicated ifs first (deeper producer paths).
     for (PlanItem& item : items) {
@@ -181,7 +182,17 @@ class PlanBuilder {
       }
       FGPAR_CHECK_MSG(first_use < items.size(),
                       "transfer without a consumer in its placement block");
+      // A replicated if before that use which dequeues a later-produced
+      // value from the same queue bounds the position: the producer
+      // enqueued this value first.
       const bool is_fp = t.type == ir::ScalarType::kF64;
+      for (std::size_t i = 0; i < first_use; ++i) {
+        if (items[i].kind == PlanItem::Kind::kIf &&
+            DequeuesLater(items[i], t.src_core, is_fp, t.producer_stmt)) {
+          first_use = i;
+          break;
+        }
+      }
       groups[{t.src_core, is_fp}].push_back(
           Incoming{t.id, t.producer_stmt, first_use});
     }
@@ -222,6 +233,22 @@ class PlanBuilder {
       }
     }
     items = std::move(out);
+  }
+
+  /// True if `item` (transitively) dequeues from queue (`src`, `is_fp`) a
+  /// transfer whose producer follows `producer`.
+  bool DequeuesLater(const PlanItem& item, int src, bool is_fp,
+                     ir::StmtId producer) const {
+    if (item.kind == PlanItem::Kind::kDeq) {
+      const Transfer& t = comm_.transfers[static_cast<std::size_t>(item.transfer)];
+      return t.src_core == src && (t.type == ir::ScalarType::kF64) == is_fp &&
+             t.producer_stmt > producer;
+    }
+    const auto later = [&](const PlanItem& sub) {
+      return DequeuesLater(sub, src, is_fp, producer);
+    };
+    return std::any_of(item.then_items.begin(), item.then_items.end(), later) ||
+           std::any_of(item.else_items.begin(), item.else_items.end(), later);
   }
 
   const KernelIndex& index_;

@@ -13,6 +13,8 @@
 //  * within a block, dequeues from one source are placed in the producer's
 //    emission order at the suffix-minimum of their first-use positions,
 //    which keeps per-queue FIFO order while dequeuing as late as possible;
+//    a replicated if earlier in the block that dequeues a later-produced
+//    value from the same queue bounds a dequeue's position from above;
 //  * block items keep original program order, so the cross-block order of
 //    queue operations is the same on every core.
 //

@@ -68,7 +68,6 @@ RunConfig ApplyTunePoint(RunConfig base, const TunePoint& point) {
   base.compile.multi_pair_merge = point.merge == 1;
   base.compile.throughput_heuristic = point.merge == 2;
   base.queue.capacity = point.queue_capacity;
-  base.compile.assumed_queue_capacity = point.queue_capacity;
   return base;
 }
 

@@ -101,8 +101,8 @@ TuneResult AutotuneKernel(const ir::Kernel& kernel, const WorkloadInit& init,
                           const TuneSpace& space, const TuneOptions& options);
 
 /// Applies a tune point's knobs onto a run configuration (compile cores,
-/// merge shape, speculation, queue capacity + the capacity the deadlock
-/// checker assumes).
+/// merge shape, speculation, queue capacity; KernelRunner::Compile has the
+/// deadlock checker assume that capacity).
 RunConfig ApplyTunePoint(RunConfig base, const TunePoint& point);
 
 /// The chosen config of a result.

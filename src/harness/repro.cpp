@@ -138,9 +138,6 @@ ReproBundle LoadReproBundle(const std::string& dir) {
   bundle.config.tune_by_simulation = config.Get("tune_by_simulation").AsBool();
   bundle.config.seed = config.Get("seed").AsU64();
   bundle.config.max_cycles = config.Get("max_cycles").AsU64();
-  // The checker must assume the queues the code will run on, exactly like
-  // the runner does.
-  bundle.config.compile.assumed_queue_capacity = bundle.config.queue.capacity;
 
   const JsonValue& failure = manifest.Get("failure");
   bundle.failure_message = failure.Get("message").AsString();

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <utility>
 
+#include "compiler/cost_model.hpp"
 #include "ir/validate.hpp"
 #include "native/codegen.hpp"
 #include "native/executor.hpp"
@@ -50,6 +51,46 @@ std::string RunKey(const isa::Program& program,
   key.append(w.bytes().begin(), w.bytes().end());
   return key;
 }
+
+/// Training simulations, the dynamic feedback of multi-version compilation
+/// (paper Section III-I.1): each candidate runs on the prepared workload,
+/// unbudgeted, and scores its core-0 halt cycle.  Training runs on the
+/// hardware the compiler assumes (paper methodology: heuristics are tuned
+/// for the default 5-cycle queues even when the deployment hardware
+/// differs, as in the Figure 13 sweep).
+class TrainingSimulations final : public compiler::CostModel {
+ public:
+  TrainingSimulations(const RunConfig& config, const ir::DataLayout& layout,
+                      const std::vector<std::uint64_t>& image)
+      : config_(config), layout_(layout), image_(image) {
+    config_.queue.transfer_latency = config.compile.assumed_transfer_latency;
+    config_.max_cycles = 0;
+  }
+
+  std::string_view name() const override { return "simulate"; }
+
+  compiler::ScoredCandidate Score(
+      const compiler::CompileState& /*state*/, const isa::Program& program,
+      const compiler::ProgramPlan& /*plan*/,
+      const compiler::CoreAssignment& assignment) const override {
+    const int cores = static_cast<int>(assignment.partitions.size());
+    MeasuredMachine machine(MeasuredMachineConfig(config_, layout_, cores),
+                            program, image_);
+    const std::uint64_t measured = machine.Run().core0_halt_cycle;
+    compiler::ScoredCandidate scored;
+    scored.cost = static_cast<double>(measured);
+    scored.detail = "measured " + std::to_string(measured) +
+                    " cycles on the training workload";
+    scored.features.emplace_back("measured_cycles",
+                                 static_cast<double>(measured));
+    return scored;
+  }
+
+ private:
+  RunConfig config_;
+  const ir::DataLayout& layout_;
+  const std::vector<std::uint64_t>& image_;
+};
 
 /// Byte-compares a native run's output memory against the golden image
 /// (the native analogue of KernelRunner::CompareMemory, which reads a sim
@@ -225,17 +266,42 @@ model::Prediction KernelRunner::Predict(const RunConfig& config) const {
   return predictor.Predict(config.compile);
 }
 
-KernelRun KernelRunner::Run(const RunConfig& config) const {
+compiler::CompiledParallel KernelRunner::Compile(const RunConfig& config) const {
   const Workload* workload = nullptr;
   const analysis::ProfileData* profile = nullptr;  // profile feedback (III-I.3)
   {
     const std::lock_guard<std::mutex> lock(memo_->mutex);
     Workload& entry = WorkloadFor(config.seed);
-    if (!entry.golden.has_value()) {
-      entry.golden = GoldenMemory(entry.prepared);
-    }
     if (config.collect_profile) {
       profile = &ProfileFor(entry, config.cache);
+    }
+    workload = &entry;
+  }
+  // The static capacity-deadlock checker must reason about the queues the
+  // code will actually run on.
+  compiler::CompileOptions options = config.compile;
+  options.assumed_queue_capacity = config.queue.capacity;
+  std::optional<TrainingSimulations> training;
+  const compiler::CostModel* scorer = config.cost_model;
+  if (scorer == nullptr && config.tune_by_simulation) {
+    scorer = &training.emplace(config, layout_, workload->prepared.image);
+  }
+  // With a telemetry sink, the compile contributes its pipeline/pass spans
+  // to the same event stream as the measured execution.
+  compiler::PipelineInstrumentation instrumentation;
+  instrumentation.telemetry = config.telemetry;
+  return compiler::CompileParallel(
+      kernel_, layout_, options, profile, scorer,
+      config.telemetry != nullptr ? &instrumentation : nullptr);
+}
+
+KernelRun KernelRunner::Run(const RunConfig& config) const {
+  const Workload* workload = nullptr;
+  {
+    const std::lock_guard<std::mutex> lock(memo_->mutex);
+    Workload& entry = WorkloadFor(config.seed);
+    if (!entry.golden.has_value()) {
+      entry.golden = GoldenMemory(entry.prepared);
     }
     workload = &entry;
   }
@@ -244,11 +310,6 @@ KernelRun KernelRunner::Run(const RunConfig& config) const {
 
   KernelRun run;
   run.kernel_name = kernel_.name();
-
-  // The static capacity-deadlock checker must reason about the queues the
-  // code will actually run on.
-  compiler::CompileOptions compile_options = config.compile;
-  compile_options.assumed_queue_capacity = config.queue.capacity;
 
   // One measured run: to completion under the cycle budget, then verified
   // when asked.  Any throw reaches config.on_failure once, with the machine
@@ -311,7 +372,7 @@ KernelRun KernelRunner::Run(const RunConfig& config) const {
   {
     const MeasuredRun measured =
         measure(RunKind::kSequential,
-                compiler::CompileSequential(kernel_, layout_, compile_options),
+                compiler::CompileSequential(kernel_, layout_, config.compile),
                 1, "sequential codegen");
     run.seq_cycles = measured.core0_halt_cycle;
     run.seq_instructions = measured.instructions;
@@ -320,29 +381,7 @@ KernelRun KernelRunner::Run(const RunConfig& config) const {
 
   // ---- fine-grained parallel ----
   {
-    // Dynamic feedback for multi-version compilation: run each candidate
-    // on the training image and report its cycles.
-    compiler::PartitionEvaluator evaluator =
-        [&](const isa::Program& program, int cores) -> std::uint64_t {
-      // Train on the hardware the compiler assumes (paper methodology:
-      // heuristics are tuned for the default 5-cycle queues even when the
-      // deployment hardware differs, as in the Figure 13 sweep).
-      RunConfig training = config;
-      training.queue.transfer_latency = config.compile.assumed_transfer_latency;
-      training.max_cycles = 0;  // tuning runs are never budgeted
-      MeasuredMachine machine(MeasuredMachineConfig(training, layout_, cores),
-                              program, prepared.image);
-      return machine.Run().core0_halt_cycle;
-    };
-    // With a telemetry sink, the compile contributes its pipeline/pass
-    // spans to the same event stream as the measured execution.
-    compiler::PipelineInstrumentation compile_instrumentation;
-    compile_instrumentation.telemetry = config.telemetry;
-    const compiler::CompiledParallel compiled = compiler::CompileParallel(
-        kernel_, layout_, compile_options, profile,
-        config.tune_by_simulation ? &evaluator : nullptr,
-        config.telemetry != nullptr ? &compile_instrumentation : nullptr,
-        config.cost_model);
+    const compiler::CompiledParallel compiled = Compile(config);
     if (config.candidate_reports_out != nullptr) {
       *config.candidate_reports_out = compiled.candidate_reports;
     }
@@ -350,7 +389,7 @@ KernelRun KernelRunner::Run(const RunConfig& config) const {
     run.initial_fibers = compiled.partition.initial_fibers;
     run.data_deps = compiled.partition.data_deps;
     run.load_balance = compiled.partition.load_balance;
-    run.com_ops = compiled.comm.com_ops();
+    run.com_ops = compiled.plan.comm.com_ops();
 
     // ---- measured parallel run ----
     {

@@ -94,7 +94,7 @@ struct RunConfig {
   /// Select-stage cost model (non-owning; null = the default behaviour
   /// above).  When set, candidates are enumerated and scored by this model
   /// with zero training simulations — it takes precedence over
-  /// tune_by_simulation (see compiler::SelectPass).
+  /// tune_by_simulation (see KernelRunner::Compile).
   const compiler::CostModel* cost_model = nullptr;
   /// When set, the parallel compile's per-candidate explanation records
   /// (compiler::CandidateReport — one per enumerated candidate, built or
@@ -223,6 +223,15 @@ class KernelRunner {
   /// any failure of the measured runs (deadlock, verify mismatch, cycle
   /// limit, machine checks); config.on_failure sees the latter first.
   KernelRun Run(const RunConfig& config) const;
+
+  /// The parallel program Run measures under `config`.  The compiler is fed
+  /// the original kernel's profile on the seed's workload when
+  /// collect_profile is set, and its capacity check assumes queue.capacity.
+  /// Candidates are scored by cost_model if set, else by training
+  /// simulations when tune_by_simulation is set, else by the static
+  /// objective.  With a telemetry sink the compile emits its pipeline and
+  /// pass spans there.  Compiles are not memoized.
+  compiler::CompiledParallel Compile(const RunConfig& config) const;
 
   /// Whole-kernel analytic prediction under `config` — no simulation.
   /// Reproduces the candidate a compile under `config` would select

@@ -90,7 +90,6 @@ int Machine::RunningCores() const {
 }
 
 RunResult Machine::Run() {
-  last_issue_cycle_ = now_;
   core0_halt_recorded_ = false;
   core0_halt_cycle_ = 0;
   if (telemetry_ != nullptr) {
@@ -201,7 +200,6 @@ RunResult Machine::RunSlow() {
     }
 
     if (issued_any) {
-      last_issue_cycle_ = now_;
       ++now_;
       continue;
     }
@@ -312,10 +310,8 @@ RunResult Machine::RunFast() {
     --blocked;
   };
 
-  // The latest cycle in which a core issued, and the one before it: a
-  // machine check leaves last_issue_cycle_ where RunSlow has it mid-cycle.
+  // The latest cycle in which a core issued.
   std::uint64_t last = start;
-  std::uint64_t prior = start;
   bool issued = false;
   std::uint64_t t = start;
   std::size_t m = 0;
@@ -357,7 +353,6 @@ RunResult Machine::RunFast() {
             const TraceRun run =
                 ThreadedExec::Run(core, *trace, clock, limit, threaded_stats_);
             if (run.executed > 0) {
-              prior = last;
               last = clock - 1;  // the trace's last issue
               issued = true;
             }
@@ -392,10 +387,7 @@ RunResult Machine::RunFast() {
         const StepOutcome outcome = core.Step(t, decoded_, memory_, queues_);
         std::uint64_t next = kNever;
         if (outcome == StepOutcome::kIssued) {
-          if (t != last) {
-            prior = last;
-            last = t;
-          }
+          last = t;
           issued = true;
           if (core.halted()) {
             --running;
@@ -466,10 +458,8 @@ RunResult Machine::RunFast() {
       }
     }
     now_ = t;
-    last_issue_cycle_ = last == t ? prior : last;
     throw;
   }
-  last_issue_cycle_ = last;
   // The first cycle RunSlow evaluates after the last issue.
   const std::uint64_t resume = issued ? last + 1 : start;
   if (running == 0) {
@@ -585,7 +575,6 @@ void Machine::TelemetryIssue(std::size_t core_index, std::int64_t pc) {
 StallReport Machine::BuildStallReport() const {
   StallReport report;
   report.cycle = now_;
-  report.stalled_cycles = now_ - last_issue_cycle_;
   for (const Core& c : cores_) {
     StallReport::CoreState state;
     state.core = c.id();

@@ -33,8 +33,7 @@ namespace fgpar::sim {
 /// Structured snapshot of a deadlocked machine: which core is blocked
 /// where, on which queue, and what is in flight.
 struct StallReport {
-  std::uint64_t cycle = 0;           // when the report was taken
-  std::uint64_t stalled_cycles = 0;  // cycles since the last issue
+  std::uint64_t cycle = 0;  // when the report was taken
 
   struct CoreState {
     int core = -1;
@@ -126,7 +125,7 @@ class Machine {
   /// (registers, scoreboards, call stacks, stall latches, statistics),
   /// queue contents, functional memory, cache timing state, and run-loop
   /// bookkeeping — as a versioned, host-independent byte stream
-  /// ("fgpar-snap-v4").  Repro bundles compare these bytes; nothing reads
+  /// ("fgpar-snap-v5").  Repro bundles compare these bytes; nothing reads
   /// them back.  The stream embeds an identity hash of the program and
   /// MachineConfig, so equal bytes imply the same program and config.
   /// Derived caches (decoded instructions, traces) are not serialized.
@@ -224,9 +223,7 @@ class Machine {
   std::vector<Core> cores_;
   std::uint64_t now_ = 0;
   // Run-loop bookkeeping, kept as members so a snapshot of a failed run
-  // records the last issue cycle and core-0 halt record.  Reset at Run
-  // entry.
-  std::uint64_t last_issue_cycle_ = 0;
+  // records the core-0 halt record.  Reset at Run entry.
   bool core0_halt_recorded_ = false;
   std::uint64_t core0_halt_cycle_ = 0;
   /// Telemetry sink (non-owning; null = off) and the per-core open-stall

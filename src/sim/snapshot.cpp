@@ -1,4 +1,4 @@
-// Machine state serialization ("fgpar-snap-v4").
+// Machine state serialization ("fgpar-snap-v5").
 //
 // Everything mutable travels in the snapshot: the cycle clock, each core's
 // architectural and timing state, queue contents (payloads and arrival
@@ -19,7 +19,7 @@ namespace fgpar::sim {
 
 namespace {
 constexpr const char kSnapshotMagic[] = "fgpar-snap";
-constexpr std::uint32_t kSnapshotVersion = 4;
+constexpr std::uint32_t kSnapshotVersion = 5;
 
 void SaveStats(ByteWriter& w, const CoreStats& s) {
   w.U64(s.instructions);
@@ -178,7 +178,6 @@ std::vector<std::uint8_t> Machine::Snapshot() const {
   w.U32(kSnapshotVersion);
   w.U64(IdentityHash());
   w.U64(now_);
-  w.U64(last_issue_cycle_);
   w.Bool(core0_halt_recorded_);
   w.U64(core0_halt_cycle_);
   w.U64(cores_.size());

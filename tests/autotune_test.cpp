@@ -84,7 +84,6 @@ TEST(TuneSpace, ApplyTunePointMapsEveryKnob) {
   EXPECT_FALSE(config.compile.multi_pair_merge);
   EXPECT_TRUE(config.compile.throughput_heuristic);
   EXPECT_EQ(config.queue.capacity, 8);
-  EXPECT_EQ(config.compile.assumed_queue_capacity, 8);
 
   point.merge = 1;
   const harness::RunConfig multi =

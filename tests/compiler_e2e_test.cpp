@@ -11,6 +11,8 @@
 #include "frontend/parser.hpp"
 #include "harness/random_kernel.hpp"
 #include "harness/runner.hpp"
+#include "kernels/experiments.hpp"
+#include "kernels/sequoia.hpp"
 #include "support/rng.hpp"
 
 namespace fgpar::harness {
@@ -323,6 +325,33 @@ TEST(EndToEnd, ZeroIterationLoop) {
 TEST(EndToEnd, SingleIterationLoop) {
   const KernelRun run = RunOn(kAxpy, 4, false, /*trip=*/1);
   EXPECT_GT(run.seq_cycles, 0u);
+}
+
+// ---- a dequeue ahead of a replicated if on its queue ----
+// In each compile below, a replicated if early in a block dequeues a value
+// produced after one the block dequeues at a later first use.  That
+// dequeue must go before the if: at its first use it would take the two
+// values in the opposite order to the producer's enqueues, and the pairing
+// check would reject the plan.
+
+TEST(EndToEnd, DequeueAheadOfIfOnItsQueueRandomKernel) {
+  const RandomKernelCase random = GenerateRandomKernel(61483);
+  KernelRunner runner(random.kernel, random.init);
+  const KernelRun run =
+      runner.Run(kernels::ToRunConfig(kernels::ExperimentConfig{}));
+  EXPECT_EQ(run.cores_used, 4);
+}
+
+// fgparc umt2k-4 --cores 3 --throughput, whose plan compile has no profile.
+TEST(EndToEnd, DequeueAheadOfIfOnItsQueueUmt2k4) {
+  const kernels::SequoiaKernel& spec = kernels::SequoiaKernelById("umt2k-4");
+  KernelRunner runner(kernels::ParseSequoia(spec), kernels::SequoiaInit(spec));
+  RunConfig config;
+  config.compile.num_cores = 3;
+  config.compile.throughput_heuristic = true;
+  config.collect_profile = false;
+  config.tune_by_simulation = false;
+  EXPECT_EQ(runner.Run(config).cores_used, 3);
 }
 
 // ---- property tests: random programs, triple-checked ----

@@ -108,6 +108,41 @@ TEST(Runner, TunedNeverSlowerThanStaticOnTrainingWorkload) {
   EXPECT_LE(t.par_cycles, s.par_cycles);
 }
 
+TEST(Runner, CompileChecksTheQueueCapacityItRunsOn) {
+  // With one-slot queues the capacity check rejects three of sphot-1's six
+  // candidates.  The compile is the same whatever
+  // compile.assumed_queue_capacity holds.
+  const kernels::SequoiaKernel& spec = kernels::SequoiaKernelById("sphot-1");
+  const KernelRunner runner(kernels::ParseSequoia(spec),
+                            kernels::SequoiaInit(spec));
+  RunConfig config;
+  config.queue.capacity = 1;
+  const compiler::CompiledParallel reference = runner.Compile(config);
+  int rejected = 0;
+  for (const compiler::CandidateReport& report : reference.candidate_reports) {
+    rejected += report.built ? 0 : 1;
+  }
+  EXPECT_EQ(rejected, 3);
+  for (const int assumed : {1, 2, 20, 1000}) {
+    config.compile.assumed_queue_capacity = assumed;
+    const compiler::CompiledParallel compiled = runner.Compile(config);
+    EXPECT_EQ(sim::Machine::IdentityBytes(compiled.program, {}),
+              sim::Machine::IdentityBytes(reference.program, {}))
+        << assumed;
+    ASSERT_EQ(compiled.candidate_reports.size(),
+              reference.candidate_reports.size());
+    for (std::size_t i = 0; i < compiled.candidate_reports.size(); ++i) {
+      const compiler::CandidateReport& a = compiled.candidate_reports[i];
+      const compiler::CandidateReport& b = reference.candidate_reports[i];
+      EXPECT_EQ(a.built, b.built) << assumed << " #" << i;
+      EXPECT_EQ(a.selected, b.selected) << assumed << " #" << i;
+      EXPECT_EQ(a.cost, b.cost) << assumed << " #" << i;
+      EXPECT_EQ(a.detail, b.detail) << assumed << " #" << i;
+      EXPECT_EQ(a.features, b.features) << assumed << " #" << i;
+    }
+  }
+}
+
 // SMT topologies must not change results, only timing.
 class SmtCorrectness : public ::testing::TestWithParam<int> {};
 

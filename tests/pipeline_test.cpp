@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "compiler/compile.hpp"
+#include "compiler/cost_model.hpp"
 #include "compiler/pipeline.hpp"
 #include "frontend/parser.hpp"
 #include "ir/layout.hpp"
@@ -115,7 +116,7 @@ TEST(PipelineAllKernels, EverySequoiaKernelCompilesWithPerPassValidation) {
 
           const CompiledParallel compiled =
               CompileParallel(kernel, layout, options, /*profile=*/nullptr,
-                              /*evaluator=*/nullptr, &instrumentation);
+                              /*cost_model=*/nullptr, &instrumentation);
           SCOPED_TRACE(spec.id + " cores=" + std::to_string(cores));
           EXPECT_GE(compiled.cores_used, 1);
           EXPECT_GT(compiled.program.size(), 0u);
@@ -244,13 +245,19 @@ TEST(PipelineValidation, SelectStageReportsEveryRejectedCandidate) {
   const ir::DataLayout layout(kernel);
   CompileOptions options;
   options.num_cores = 4;
-  // An evaluator that refuses every candidate forces the multi-version
+  // A cost model that refuses every candidate forces the multi-version
   // loop to exhaust its set; the aggregate error must list each rejection,
   // not just the last one.
-  const PartitionEvaluator reject_all =
-      [](const isa::Program&, int) -> std::uint64_t {
-    throw Error("training workload refused this candidate");
+  class RejectAll final : public CostModel {
+   public:
+    std::string_view name() const override { return "reject"; }
+    ScoredCandidate Score(const CompileState&, const isa::Program&,
+                          const ProgramPlan&,
+                          const CoreAssignment&) const override {
+      throw Error("training workload refused this candidate");
+    }
   };
+  const RejectAll reject_all;
   try {
     CompileParallel(kernel, layout, options, nullptr, &reject_all);
     FAIL() << "expected every candidate to be rejected";

@@ -37,7 +37,6 @@
 
 #include <gtest/gtest.h>
 
-#include "analysis/profile.hpp"
 #include "compiler/compile.hpp"
 #include "harness/runner.hpp"
 #include "isa/assembler.hpp"
@@ -148,9 +147,8 @@ LimitStop RunToLimit(const kernels::SequoiaKernel& spec,
   return stop;
 }
 
-/// The parallel program a KernelRunner measures for `spec` under `config`
-/// (static select with profile feedback), with the run's machine config
-/// and initial memory.
+/// The parallel program a KernelRunner measures for `spec` under `config`,
+/// with the run's machine config and initial memory.
 struct ParallelMachine {
   isa::Program program;
   sim::MachineConfig config;
@@ -181,19 +179,15 @@ struct ParallelMachine {
 
 ParallelMachine CompileParallelMachine(const kernels::SequoiaKernel& spec,
                                        const harness::RunConfig& config) {
-  const ir::Kernel kernel = kernels::ParseSequoia(spec);
-  const ir::DataLayout layout(kernel, /*base=*/64);
-  harness::PreparedWorkload workload(kernel, layout, kernels::SequoiaInit(spec),
-                                     config.seed);
-  const analysis::ProfileData profile = analysis::ProfileData::Collect(
-      kernel, layout, workload.params, workload.image, config.cache);
-  compiler::CompileOptions options = config.compile;
-  options.assumed_queue_capacity = config.queue.capacity;
-  compiler::CompiledParallel compiled =
-      compiler::CompileParallel(kernel, layout, options, &profile);
+  const harness::KernelRunner runner(kernels::ParseSequoia(spec),
+                                     kernels::SequoiaInit(spec));
+  compiler::CompiledParallel compiled = runner.Compile(config);
+  harness::PreparedWorkload workload(runner.kernel(), runner.layout(),
+                                     kernels::SequoiaInit(spec), config.seed);
   ParallelMachine out;
   out.program = std::move(compiled.program);
-  out.config = harness::MeasuredMachineConfig(config, layout, compiled.cores_used);
+  out.config = harness::MeasuredMachineConfig(config, runner.layout(),
+                                              compiled.cores_used);
   out.image = std::move(workload.image);
   return out;
 }

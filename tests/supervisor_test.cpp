@@ -468,7 +468,6 @@ TEST(Repro, BundleRoundTripsThroughDisk) {
   EXPECT_EQ(loaded.config.compile.num_cores, 2);
   EXPECT_EQ(loaded.config.queue.capacity, 12);
   EXPECT_EQ(loaded.config.queue.transfer_latency, 9);
-  EXPECT_EQ(loaded.config.compile.assumed_queue_capacity, 12);
   EXPECT_EQ(loaded.config.seed, 0xDEADBEEFCAFEull);
   EXPECT_EQ(loaded.config.max_cycles, 1u << 20);
   EXPECT_EQ(loaded.failure_message, bundle.failure_message);

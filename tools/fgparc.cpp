@@ -403,7 +403,7 @@ int Main(int argc, char** argv) {
   }
 
   const compiler::CompiledParallel compiled = compiler::CompileParallel(
-      kernel, layout, compile, /*profile=*/nullptr, /*evaluator=*/nullptr,
+      kernel, layout, compile, /*profile=*/nullptr, /*cost_model=*/nullptr,
       &instrumentation);
 
   if (options.compile_stats) {
@@ -438,8 +438,8 @@ int Main(int argc, char** argv) {
         std::printf("    %s\n", text.c_str());
       }
     }
-    std::printf("loop transfers: %d\n", compiled.comm.com_ops());
-    for (const compiler::Transfer& t : compiled.comm.transfers) {
+    std::printf("loop transfers: %d\n", compiled.plan.comm.com_ops());
+    for (const compiler::Transfer& t : compiled.plan.comm.transfers) {
       std::printf("  %s: core %d -> core %d\n",
                   compiled.partition.kernel.temp(t.temp).name.c_str(), t.src_core,
                   t.dst_core);
