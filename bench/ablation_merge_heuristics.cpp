@@ -49,7 +49,7 @@ int main() {
       {"no source-proximity term",
        [](harness::RunConfig& c) { c.compile.w_prox = 0.0; }},
       {"no profile feedback",
-       [](harness::RunConfig& c) { c.compile.use_profile = false; }},
+       [](harness::RunConfig& c) { c.collect_profile = false; }},
       {"multi-pair merging",
        [](harness::RunConfig& c) { c.compile.multi_pair_merge = true; }},
   };

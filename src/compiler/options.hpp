@@ -63,10 +63,6 @@ struct CompileOptions {
   /// directed sender->receiver channels; 0 means unlimited (the all-to-all
   /// configuration of the evaluation).
   int max_channels = 0;
-
-  /// Use profile feedback for memory latencies in the cost model
-  /// (Section III-I.3).  When false, all loads are costed at L1 latency.
-  bool use_profile = true;
 };
 
 }  // namespace fgpar::compiler

@@ -88,7 +88,7 @@ PartitionResult PartitionKernel(const ir::Kernel& input,
 
   const analysis::KernelIndex index(result.kernel);
   const analysis::CostModel cost(sim::CoreTiming{}, sim::CacheConfig{},
-                                 options.use_profile ? profile : nullptr);
+                                 profile);
   const CodeGraph graph = BuildCodeGraph(index, cost);
   result.data_deps = graph.data_dep_count;
 

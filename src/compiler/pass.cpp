@@ -36,7 +36,7 @@ class GraphPass final : public Pass {
   void Run(CompileState& state) override {
     state.index.emplace(state.kernel());
     state.cost.emplace(sim::CoreTiming{}, sim::CacheConfig{},
-                       state.options.use_profile ? state.profile : nullptr);
+                       state.profile);
     state.graph.emplace(BuildCodeGraph(*state.index, *state.cost));
     state.partition.data_deps = state.graph->data_dep_count;
     state.Note("graph_nodes",

@@ -120,7 +120,7 @@ Prediction PredictKernel(const ir::Kernel& kernel,
   compiler::ApplyRewritePasses(rewritten, options);
   const analysis::KernelIndex index(rewritten.kernel);
   const analysis::CostModel cost(sim::CoreTiming{}, sim::CacheConfig{},
-                                 options.use_profile ? profile : nullptr);
+                                 profile);
   const compiler::CodeGraph graph = compiler::BuildCodeGraph(index, cost);
   const std::vector<compiler::MergedPartition> chosen =
       compiler::MergeGraph(graph, options);
@@ -174,9 +174,8 @@ WorkloadPredictor::FrontHalf& WorkloadPredictor::FrontHalfFor(
     const FrontHalfKey& key, const compiler::CompileOptions& options) {
   auto it = front_halves_.find(key);
   if (it == front_halves_.end()) {
-    const analysis::CostModel merge_cost(
-        sim::CoreTiming{}, cache_,
-        options.use_profile ? merge_profile_ : nullptr);
+    const analysis::CostModel merge_cost(sim::CoreTiming{}, cache_,
+                                         merge_profile_);
     it = front_halves_
              .emplace(key, std::make_unique<FrontHalf>(kernel_, options,
                                                         merge_cost))
@@ -247,8 +246,7 @@ double WorkloadPredictor::SequentialOccupancy(
 }
 
 Prediction WorkloadPredictor::Predict(const compiler::CompileOptions& options) {
-  const FrontHalfKey front_key{options.max_expr_depth, options.speculation,
-                               options.use_profile};
+  const FrontHalfKey front_key{options.max_expr_depth, options.speculation};
   const PredictionKey key{front_key,
                           options.num_cores,
                           options.multi_pair_merge,

@@ -132,7 +132,7 @@ Prediction PredictKernelOnWorkload(const ir::Kernel& kernel,
 ///
 ///   * the rewrite front half — rewritten kernel, KernelIndex, code graph
 ///     and the rewritten kernel's execution costs — once per
-///     (max_expr_depth, speculation, use_profile);
+///     (max_expr_depth, speculation);
 ///   * the sequential baseline occupancy once per max_expr_depth;
 ///   * each Prediction once per its front-half key plus num_cores,
 ///     multi_pair_merge, throughput_heuristic, max_channels, the affinity
@@ -154,7 +154,7 @@ class WorkloadPredictor {
 
  private:
   struct FrontHalf;
-  using FrontHalfKey = std::tuple<int, bool, bool>;
+  using FrontHalfKey = std::tuple<int, bool>;
   using PredictionKey = std::tuple<FrontHalfKey, int, bool, bool, int, double,
                                    double, double, double, double, double, int>;
 
