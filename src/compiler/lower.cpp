@@ -833,7 +833,9 @@ isa::Program LowerParallel(const ir::Kernel& kernel, const ir::DataLayout& layou
   isa::Label driver = a.NewNamedLabel("driver");
   std::vector<isa::Label> fn_labels;
   for (int c = 1; c < cores; ++c) {
-    fn_labels.push_back(a.NewNamedLabel("F" + std::to_string(c)));
+    std::string name = "F";
+    name += std::to_string(c);
+    fn_labels.push_back(a.NewNamedLabel(name));
   }
 
   // ---- primary core ----

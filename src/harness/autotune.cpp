@@ -37,10 +37,14 @@ int MergeShapeFromName(std::string_view name) {
 }
 
 std::string TunePointLabel(const TunePoint& point) {
-  return "c" + std::to_string(point.cores) + " q" +
-         std::to_string(point.queue_capacity) + " spec=" +
-         (point.speculation ? "1" : "0") + " merge=" +
-         std::string(MergeShapeName(point.merge));
+  std::string label = "c";
+  label += std::to_string(point.cores);
+  label += " q";
+  label += std::to_string(point.queue_capacity);
+  label += point.speculation ? " spec=1" : " spec=0";
+  label += " merge=";
+  label += MergeShapeName(point.merge);
+  return label;
 }
 
 std::vector<TunePoint> TuneSpace::Enumerate() const {

@@ -46,7 +46,9 @@ class Generator {
     // A handful of top-level temporary definitions.
     const int num_temps = static_cast<int>(rng_.NextInt(2, 6));
     for (int t = 0; t < num_temps; ++t) {
-      TempHandle temp = kb_.DeclTemp("t" + std::to_string(t), ScalarType::kF64);
+      std::string name = "t";
+      name += std::to_string(t);
+      TempHandle temp = kb_.DeclTemp(name, ScalarType::kF64);
       kb_.Assign(temp, RandomF64Expr(3));
       temps_.push_back(temp);
     }

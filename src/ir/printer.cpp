@@ -50,14 +50,20 @@ std::string PrintExpr(const Kernel& k, ExprId id) {
           return std::string(UnOpName(node.un)) + "(" +
                  PrintExpr(k, node.child[0]) + ")";
       }
-    case ExprKind::kBinary:
+    case ExprKind::kBinary: {
       if (node.bin == BinOp::kMin || node.bin == BinOp::kMax) {
         return std::string(BinOpName(node.bin)) + "(" + PrintExpr(k, node.child[0]) +
                ", " + PrintExpr(k, node.child[1]) + ")";
       }
-      return "(" + PrintExpr(k, node.child[0]) + " " +
-             std::string(BinOpName(node.bin)) + " " + PrintExpr(k, node.child[1]) +
-             ")";
+      std::string text = "(";
+      text += PrintExpr(k, node.child[0]);
+      text += ' ';
+      text += BinOpName(node.bin);
+      text += ' ';
+      text += PrintExpr(k, node.child[1]);
+      text += ')';
+      return text;
+    }
     case ExprKind::kSelect:
       return "select(" + PrintExpr(k, node.child[0]) + ", " +
              PrintExpr(k, node.child[1]) + ", " + PrintExpr(k, node.child[2]) + ")";

@@ -8,8 +8,13 @@
 namespace fgpar::isa {
 namespace {
 
-std::string G(std::uint8_t r) { return "r" + std::to_string(r); }
-std::string F(std::uint8_t r) { return "f" + std::to_string(r); }
+std::string Reg(char file, std::uint8_t r) {
+  std::string name(1, file);
+  name += std::to_string(r);
+  return name;
+}
+std::string G(std::uint8_t r) { return Reg('r', r); }
+std::string F(std::uint8_t r) { return Reg('f', r); }
 
 enum class Shape {
   kGGG,     // dst, a, b (all gpr)

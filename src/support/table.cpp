@@ -42,7 +42,9 @@ std::string TextTable::Render(const std::string& title) const {
   auto emit_row = [&](const std::vector<std::string>& cells) {
     std::string line = "|";
     for (std::size_t c = 0; c < cells.size(); ++c) {
-      line += " " + PadLeft(cells[c], widths[c]) + " |";
+      line += ' ';
+      line += PadLeft(cells[c], widths[c]);
+      line += " |";
     }
     return line + "\n";
   };
