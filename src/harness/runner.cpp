@@ -25,11 +25,13 @@ enum class RunKind : std::uint8_t { kSequential, kParallel };
 /// The numbers Run reads from one finished, verified measured machine.
 struct MeasuredRun {
   std::uint64_t core0_halt_cycle = 0;
+  std::uint64_t cycles = 0;  // the last core's halt
   std::uint64_t instructions = 0;
   std::uint64_t queue_transfers = 0;
   int queues_used = 0;
   int max_queue_occupancy = 0;
   sim::ThreadedStats threaded_stats;
+  std::vector<sim::CoreStats> core_stats;
 };
 
 /// The run-memo key: the machine identity bytes (program and
@@ -266,7 +268,9 @@ model::Prediction KernelRunner::Predict(const RunConfig& config) const {
   return predictor.Predict(config.compile);
 }
 
-compiler::CompiledParallel KernelRunner::Compile(const RunConfig& config) const {
+compiler::CompiledParallel KernelRunner::Compile(
+    const RunConfig& config,
+    const compiler::PipelineInstrumentation* instrumentation) const {
   const Workload* workload = nullptr;
   const analysis::ProfileData* profile = nullptr;  // profile feedback (III-I.3)
   {
@@ -286,16 +290,25 @@ compiler::CompiledParallel KernelRunner::Compile(const RunConfig& config) const 
   if (scorer == nullptr && config.tune_by_simulation) {
     scorer = &training.emplace(config, layout_, workload->prepared.image);
   }
+  return compiler::CompileParallel(kernel_, layout_, options, profile, scorer,
+                                   instrumentation);
+}
+
+KernelRun KernelRunner::Run(const RunConfig& config) const {
   // With a telemetry sink, the compile contributes its pipeline/pass spans
   // to the same event stream as the measured execution.
   compiler::PipelineInstrumentation instrumentation;
   instrumentation.telemetry = config.telemetry;
-  return compiler::CompileParallel(
-      kernel_, layout_, options, profile, scorer,
-      config.telemetry != nullptr ? &instrumentation : nullptr);
+  return Run(config, Compile(config, config.telemetry != nullptr
+                                         ? &instrumentation
+                                         : nullptr));
 }
 
-KernelRun KernelRunner::Run(const RunConfig& config) const {
+KernelRun KernelRunner::Run(const RunConfig& config,
+                            const compiler::CompiledParallel& compiled) const {
+  FGPAR_CHECK_MSG(compiled.layout == &layout_,
+                  "KernelRunner::Run: the program was compiled by another "
+                  "runner");
   const Workload* workload = nullptr;
   {
     const std::lock_guard<std::mutex> lock(memo_->mutex);
@@ -349,10 +362,15 @@ KernelRun KernelRunner::Run(const RunConfig& config) const {
       if (config.verify) {
         CompareMemory(machine, golden, verify_what);
       }
-      measured = {result.core0_halt_cycle, result.instructions,
-                  machine.queues().TotalTransfers(),
+      std::vector<sim::CoreStats> core_stats;
+      for (int c = 0; c < machine.num_cores(); ++c) {
+        core_stats.push_back(machine.core(c).stats());
+      }
+      measured = {result.core0_halt_cycle, result.cycles,
+                  result.instructions, machine.queues().TotalTransfers(),
                   machine.queues().UsedChannelCount(),
-                  machine.queues().MaxOccupancy(), machine.threaded_stats()};
+                  machine.queues().MaxOccupancy(), machine.threaded_stats(),
+                  std::move(core_stats)};
     } catch (const Error& e) {
       if (config.on_failure) {
         config.on_failure(machine, e);
@@ -381,10 +399,6 @@ KernelRun KernelRunner::Run(const RunConfig& config) const {
 
   // ---- fine-grained parallel ----
   {
-    const compiler::CompiledParallel compiled = Compile(config);
-    if (config.candidate_reports_out != nullptr) {
-      *config.candidate_reports_out = compiled.candidate_reports;
-    }
     run.cores_used = compiled.cores_used;
     run.initial_fibers = compiled.partition.initial_fibers;
     run.data_deps = compiled.partition.data_deps;
@@ -403,6 +417,8 @@ KernelRun KernelRunner::Run(const RunConfig& config) const {
       run.queues_used = measured.queues_used;
       run.max_queue_occupancy = measured.max_queue_occupancy;
       run.threaded_stats += measured.threaded_stats;
+      run.par_machine_cycles = measured.cycles;
+      run.par_core_stats = measured.core_stats;
     }
 
     // ---- native-backend execution (real host threads + SPSC rings) ----

@@ -96,11 +96,6 @@ struct RunConfig {
   /// with zero training simulations — it takes precedence over
   /// tune_by_simulation (see KernelRunner::Compile).
   const compiler::CostModel* cost_model = nullptr;
-  /// When set, the parallel compile's per-candidate explanation records
-  /// (compiler::CandidateReport — one per enumerated candidate, built or
-  /// rejected, with cost-model attribution) are copied here.  Powers
-  /// `fgparc --explain-select`.
-  std::vector<compiler::CandidateReport>* candidate_reports_out = nullptr;
   /// The single deterministic seed for the run: workload initialization
   /// derives from it (multi-version tuning is already deterministic).  The
   /// default reproduces the historical SequoiaInit workloads.
@@ -179,6 +174,12 @@ struct KernelRun {
   std::uint64_t par_queue_transfers = 0;
   int max_queue_occupancy = 0;  // high-water mark of any single queue
 
+  // The measured parallel machine in detail: the cycle its last core
+  // halted (par_cycles is core 0's halt) and each core's counters.  Never
+  // journaled and never in a bench artifact.
+  std::uint64_t par_machine_cycles = 0;
+  std::vector<sim::CoreStats> par_core_stats;
+
   // Always false / empty: a failing run throws instead.  Kept only for
   // the end-to-end benchmark's readers (bench/e2e).
   bool fallback_used = false;
@@ -219,19 +220,29 @@ class KernelRunner {
   KernelRunner(const KernelRunner&) = delete;
   KernelRunner& operator=(const KernelRunner&) = delete;
 
-  /// Runs the full pipeline for `config`.  Throws on compile errors and on
+  /// Runs the full pipeline for `config`: Run(config, Compile(config, …)),
+  /// where the compile emits its pipeline and pass spans to
+  /// config.telemetry when one is set.  Throws on compile errors and on
   /// any failure of the measured runs (deadlock, verify mismatch, cycle
   /// limit, machine checks); config.on_failure sees the latter first.
   KernelRun Run(const RunConfig& config) const;
+
+  /// Measures `compiled`, which Compile(config, …) on this runner returned:
+  /// the sequential baseline, then `compiled` itself, so a caller can show
+  /// the very program it has measured (fgparc --print-plan --run).
+  KernelRun Run(const RunConfig& config,
+                const compiler::CompiledParallel& compiled) const;
 
   /// The parallel program Run measures under `config`.  The compiler is fed
   /// the original kernel's profile on the seed's workload when
   /// collect_profile is set, and its capacity check assumes queue.capacity.
   /// Candidates are scored by cost_model if set, else by training
   /// simulations when tune_by_simulation is set, else by the static
-  /// objective.  With a telemetry sink the compile emits its pipeline and
-  /// pass spans there.  Compiles are not memoized.
-  compiler::CompiledParallel Compile(const RunConfig& config) const;
+  /// objective.  `instrumentation` (IR dumps, pass spans) observes the
+  /// compile without changing it.  Compiles are not memoized.
+  compiler::CompiledParallel Compile(
+      const RunConfig& config,
+      const compiler::PipelineInstrumentation* instrumentation = nullptr) const;
 
   /// Whole-kernel analytic prediction under `config` — no simulation.
   /// Reproduces the candidate a compile under `config` would select

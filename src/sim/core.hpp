@@ -87,6 +87,8 @@ struct CoreStats {
   std::uint64_t stall_raw = 0;         // cycles lost to operand waits
   std::uint64_t stall_queue_empty = 0; // cycles blocked in deq
   std::uint64_t stall_queue_full = 0;  // cycles blocked in enq
+
+  bool operator==(const CoreStats&) const = default;
 };
 
 class Core {
