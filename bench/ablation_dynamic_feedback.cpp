@@ -37,14 +37,11 @@ int main() {
     t.push_back(st);
     improved += st > ss * 1.01 ? 1 : 0;
     table.AddRow({runs_static[i].kernel_name, FormatFixed(ss, 2),
-                  FormatFixed(st, 2),
-                  (st >= ss ? "+" : "") +
-                      FormatFixed((st / ss - 1.0) * 100.0, 1) + "%"});
+                  FormatFixed(st, 2), FormatChange(st, ss)});
   }
   table.AddSeparator();
   table.AddRow({"average", FormatFixed(Mean(s), 2), FormatFixed(Mean(t), 2),
-                (Mean(t) >= Mean(s) ? "+" : "") +
-                    FormatFixed((Mean(t) / Mean(s) - 1.0) * 100.0, 1) + "%"});
+                FormatChange(Mean(t), Mean(s))});
   std::printf("%s\n",
               table
                   .Render("Extension: static heuristics vs multi-version "

@@ -37,13 +37,11 @@ int main() {
     better += st > sb * 1.02 ? 1 : 0;
     worse += st < sb * 0.98 ? 1 : 0;
     table.AddRow({runs_base[i].kernel_name, FormatFixed(sb, 2), FormatFixed(st, 2),
-                  (st >= sb ? "+" : "") +
-                      FormatFixed((st / sb - 1.0) * 100.0, 1) + "%"});
+                  FormatChange(st, sb)});
   }
   table.AddSeparator();
   table.AddRow({"average", FormatFixed(Mean(b), 2), FormatFixed(Mean(t), 2),
-                (Mean(t) >= Mean(b) ? "+" : "") +
-                    FormatFixed((Mean(t) / Mean(b) - 1.0) * 100.0, 1) + "%"});
+                FormatChange(Mean(t), Mean(b))});
 
   std::printf("%s\n",
               table

@@ -45,13 +45,11 @@ int main() {
     spec.push_back(s);
     improved += s > b * 1.01 ? 1 : 0;
     table.AddRow({runs_off[i].run.kernel_name, FormatFixed(b, 2),
-                  FormatFixed(s, 2),
-                  (s >= b ? "+" : "") + FormatFixed((s / b - 1.0) * 100.0, 1) + "%"});
+                  FormatFixed(s, 2), FormatChange(s, b)});
   }
   table.AddSeparator();
   table.AddRow({"average", FormatFixed(Mean(base), 2), FormatFixed(Mean(spec), 2),
-                (Mean(spec) >= Mean(base) ? "+" : "") +
-                    FormatFixed((Mean(spec) / Mean(base) - 1.0) * 100.0, 1) + "%"});
+                FormatChange(Mean(spec), Mean(base))});
 
   std::printf("%s\n",
               table

@@ -10,6 +10,13 @@ std::string FormatFixed(double value, int decimals) {
   return buf;
 }
 
+std::string FormatChange(double after, double before) {
+  std::string text = after >= before ? "+" : "";
+  text += FormatFixed((after / before - 1.0) * 100.0, 1);
+  text += '%';
+  return text;
+}
+
 std::string FormatWithCommas(long long value) {
   const bool negative = value < 0;
   unsigned long long magnitude =

@@ -38,7 +38,9 @@ TEST(Lower, ParallelProgramHasEntrySymbols) {
   EXPECT_TRUE(compiled.program.HasSymbol("main"));
   EXPECT_TRUE(compiled.program.HasSymbol("driver"));
   for (int c = 1; c < compiled.cores_used; ++c) {
-    EXPECT_TRUE(compiled.program.HasSymbol("F" + std::to_string(c)));
+    std::string entry = "F";
+    entry += std::to_string(c);
+    EXPECT_TRUE(compiled.program.HasSymbol(entry));
   }
   EXPECT_EQ(compiled.program.EntryOf("main"), 0);  // primary enters at pc 0
 }

@@ -193,7 +193,9 @@ TEST(Supervisor, CleanSweepRunsEveryPointOnce) {
   for (std::size_t i = 0; i < 9; ++i) {
     EXPECT_EQ(calls[i].load(), 1) << i;
     EXPECT_TRUE(outcome.completed[i]);
-    EXPECT_EQ(outcome.payloads[i], "r" + std::to_string(i));
+    std::string payload = "r";
+    payload += std::to_string(i);
+    EXPECT_EQ(outcome.payloads[i], payload);
   }
 }
 

@@ -137,6 +137,12 @@ TEST(Str, FormatFixed) {
   EXPECT_EQ(FormatFixed(-0.5, 1), "-0.5");
 }
 
+TEST(Str, FormatChange) {
+  EXPECT_EQ(FormatChange(2.07, 2.02), "+2.5%");
+  EXPECT_EQ(FormatChange(1.0, 1.0), "+0.0%");
+  EXPECT_EQ(FormatChange(0.98, 1.0), "-2.0%");
+}
+
 TEST(Str, FormatWithCommas) {
   EXPECT_EQ(FormatWithCommas(0), "0");
   EXPECT_EQ(FormatWithCommas(999), "999");
